@@ -12,6 +12,9 @@ Every benchmark session also writes ``BENCH_runtime.json`` at the repo
 root: per-stage wall times, index/cache counters, the runtime config
 (workers, chunk size, cache state), and any named measurements recorded
 via :func:`record_timing` — the perf trajectory future PRs diff against.
+Sections merge: a session replaces only the sections it recorded, each
+stamped with its own git SHA, timestamp and cpu count, and keeps the
+rest of the file's sections as they were.
 """
 
 from __future__ import annotations
@@ -60,12 +63,33 @@ def record_timing(section: str, **payload) -> None:
     RUNTIME_BENCH[section] = payload
 
 
+def merge_sections(path: Path, recorded: dict[str, dict],
+                   stamp: dict) -> dict[str, dict]:
+    """Sections of ``path``'s report with ``recorded`` merged over them.
+
+    Each recorded section carries ``stamp`` (git SHA, timestamp, cpu
+    count of the session that measured it); sections this session did
+    not run keep the stamp of the session that did.  An unreadable or
+    malformed file contributes no sections.
+    """
+    try:
+        previous = json.loads(path.read_text()).get("sections")
+    except (OSError, ValueError, AttributeError):
+        previous = None
+    merged = dict(previous) if isinstance(previous, dict) else {}
+    for name, payload in recorded.items():
+        merged[name] = {**payload, **stamp}
+    return merged
+
+
 def pytest_sessionfinish(session, exitstatus) -> None:
     """Dump the session's runtime stats as machine-readable JSON.
 
     Schema ``bench-runtime/2``: ISO-8601 UTC timestamp, git SHA, and
     cpu count replace the bare ``generated_unix`` float of schema 1
-    (``repro history --bench`` ingests both).  When a run ledger is
+    (``repro history --bench`` ingests both).  The sections merge into
+    the existing file (:func:`merge_sections`), so a partial session
+    never erases the sections it did not run.  When a run ledger is
     armed (``REPRO_LEDGER_DIR``), the same measurements are appended
     there as a bench-kind manifest, so benchmark sessions and CLI runs
     share one perf history — the ``repro gate`` CI baseline.
@@ -74,11 +98,11 @@ def pytest_sessionfinish(session, exitstatus) -> None:
     snapshot = STATS.snapshot()
     counters = snapshot["counters"]
     generated_iso = obs.utc_now_iso()
+    stamp = {"git_sha": obs.git_sha(), "generated_iso": generated_iso,
+             "cpu_count": os.cpu_count() or 1}
     report = {
         "schema": "bench-runtime/2",
-        "generated_iso": generated_iso,
-        "git_sha": obs.git_sha(),
-        "cpu_count": os.cpu_count() or 1,
+        **stamp,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "config": {
@@ -95,7 +119,7 @@ def pytest_sessionfinish(session, exitstatus) -> None:
             "misses": counters.get("cache.misses", 0),
             "disk_hits": counters.get("cache.disk_hits", 0),
         },
-        "sections": RUNTIME_BENCH,
+        "sections": merge_sections(BENCH_JSON_PATH, RUNTIME_BENCH, stamp),
     }
     try:
         BENCH_JSON_PATH.write_text(json.dumps(report, indent=2,

@@ -122,9 +122,8 @@ def _compute_coverage(session, hazard_floor: WHPClass) -> CoverageResult:
     order = np.argsort(cells.site_ids, kind="stable")
     sid_sorted = cells.site_ids[order]
     cls_sorted = classes[order]
-    boundaries = np.nonzero(np.diff(sid_sorted))[0] + 1
-    site_class = np.array([g.max() for g in
-                           np.split(cls_sorted, boundaries)])
+    starts = np.concatenate(([0], np.nonzero(np.diff(sid_sorted))[0] + 1))
+    site_class = np.maximum.reduceat(cls_sorted, starts)
     at_risk_site = site_class >= int(hazard_floor)
 
     covered_before = _coverage_mask(pop, site_lons, site_lats, radii)
@@ -149,46 +148,76 @@ def _compute_coverage(session, hazard_floor: WHPClass) -> CoverageResult:
     )
 
 
+#: Upper bound on the padded ``(sites, rows, cols)`` window block one
+#: stamping pass evaluates (float64 elements), so memory stays bounded
+#: at paper scale whatever the site count.
+_STAMP_BLOCK_ELEMENTS = 1 << 21
+
+
 def _coverage_mask(pop, site_lons, site_lats, radii_m) -> np.ndarray:
     """Boolean population-grid mask of cells within any site's radius.
 
     Stamps an elliptical footprint per site (lon/lat anisotropy at the
-    site's latitude); O(sites × footprint cells).
+    site's latitude).  Sites are evaluated in blocks: each block pads
+    its sites' grid windows to a common ``(rows, cols)`` shape, runs the
+    per-site ellipse test as one broadcast, and masks the padding out.
+    Sites are sorted by window area first so a block's windows are
+    alike and the padding stays small.
     """
     grid = pop.grid
     covered = np.zeros(grid.shape, dtype=bool)
     site_lons = np.asarray(site_lons, dtype=float)
     site_lats = np.asarray(site_lats, dtype=float)
     radii_m = np.asarray(radii_m, dtype=float)
-    # Ellipse radii and grid windows for every site at once; the loop
-    # below only stamps footprints.
+    # Ellipse radii and clipped grid windows for every site at once.
     _, m_lat = meters_per_degree(0.0)
     m_lon = m_lat * np.cos(np.radians(site_lats))
     rlons = radii_m / m_lon
     rlats = radii_m / m_lat
     rows0, cols0 = grid.rowcol(site_lons - rlons, site_lats + rlats)
     rows1, cols1 = grid.rowcol(site_lons + rlons, site_lats - rlats)
-    for lon, lat, rlon, rlat, row0, col0, row1, col1 in zip(
-            site_lons.tolist(), site_lats.tolist(), rlons.tolist(),
-            rlats.tolist(), rows0.tolist(), cols0.tolist(),
-            rows1.tolist(), cols1.tolist()):
-        row0 = max(row0, 0)
-        col0 = max(col0, 0)
-        row1 = min(row1, grid.height - 1)
-        col1 = min(col1, grid.width - 1)
-        if row0 > row1 or col0 > col1:
-            continue
-        rows = np.arange(row0, row1 + 1)
-        cols = np.arange(col0, col1 + 1)
-        # The grid is separable (lon depends on col only, lat on row
-        # only), so the ellipse test is an outer sum of two 1-D terms —
-        # no meshgrid, no 2-D center arrays.
-        clons, _ = grid.cell_center(0, cols)
-        _, clats = grid.cell_center(rows, 0)
-        u = ((clons - lon) / rlon) ** 2
-        v = ((clats - lat) / rlat) ** 2
-        inside = (u[None, :] + v[:, None]) <= 1.0
-        covered[row0:row1 + 1, col0:col1 + 1] |= inside
+    rows0 = np.maximum(rows0, 0)
+    cols0 = np.maximum(cols0, 0)
+    n_rows = np.minimum(rows1, grid.height - 1) - rows0 + 1
+    n_cols = np.minimum(cols1, grid.width - 1) - cols0 + 1
+    live = np.flatnonzero((n_rows > 0) & (n_cols > 0))
+    order = live[np.argsort(n_rows[live] * n_cols[live], kind="stable")]
+
+    start = 0
+    while start < len(order):
+        # Areas ascend through ``order``: size the block from its first
+        # window, then shrink it until the padded block fits the budget.
+        stop = start + max(1, _STAMP_BLOCK_ELEMENTS
+                           // int(n_rows[order[start]]
+                                  * n_cols[order[start]]))
+        block = order[start:stop]
+        height = int(n_rows[block].max())
+        width = int(n_cols[block].max())
+        if len(block) * height * width > _STAMP_BLOCK_ELEMENTS:
+            block = block[:max(1, _STAMP_BLOCK_ELEMENTS
+                               // (height * width))]
+            height = int(n_rows[block].max())
+            width = int(n_cols[block].max())
+        start += len(block)
+
+        # Per site the arithmetic is the scalar stamp's: the grid is
+        # separable (lon depends on col only, lat on row only), so the
+        # ellipse test is an outer sum of the 1-D window terms.  Padding
+        # terms are +inf, which no ellipse test passes.
+        row0 = rows0[block][:, None]
+        col0 = cols0[block][:, None]
+        row_off = np.arange(height)
+        col_off = np.arange(width)
+        clons, _ = grid.cell_center(0, col0 + col_off)
+        _, clats = grid.cell_center(row0 + row_off, 0)
+        u = ((clons - site_lons[block][:, None])
+             / rlons[block][:, None]) ** 2
+        v = ((clats - site_lats[block][:, None])
+             / rlats[block][:, None]) ** 2
+        u[col_off >= n_cols[block][:, None]] = np.inf
+        v[row_off >= n_rows[block][:, None]] = np.inf
+        site, rr, cc = np.nonzero(u[:, None, :] + v[:, :, None] <= 1.0)
+        covered[row0[site, 0] + rr, col0[site, 0] + cc] = True
     return covered
 
 

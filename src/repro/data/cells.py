@@ -20,6 +20,7 @@ loaded instead.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 from dataclasses import dataclass, field
@@ -234,16 +235,7 @@ def generate_cells(pop: PopulationSurface, n_transceivers: int,
     # Transceivers per site: geometric-ish, clipped to [1, 12].
     per_site = np.clip(rng.geometric(1.0 / mean_per_site, size=n_sites),
                        1, 12)
-    # Adjust total to exactly n_transceivers by trimming/padding.
-    total = int(per_site.sum())
-    while total != n_transceivers:
-        i = int(rng.integers(n_sites))
-        if total < n_transceivers and per_site[i] < 12:
-            per_site[i] += 1
-            total += 1
-        elif total > n_transceivers and per_site[i] > 1:
-            per_site[i] -= 1
-            total -= 1
+    _trim_to_total(per_site, n_transceivers, rng)
 
     site_of = np.repeat(np.arange(n_sites, dtype=np.int64), per_site)
     lons = np.repeat(site_lons, per_site)
@@ -261,12 +253,49 @@ def generate_cells(pop: PopulationSurface, n_transceivers: int,
 
     groups = _draw_provider_groups(u, rng)
     mcc, mnc = _draw_plmns(groups, rng)
-    radio = draw_radio_types(np.array(PROVIDER_GROUPS)[groups],
-                             ruralness, rng)
+    radio = draw_radio_types(groups, ruralness, rng,
+                             names=PROVIDER_GROUPS)
 
     return CellUniverse(lons=lons, lats=lats, site_ids=site_of,
                         mcc=mcc, mnc=mnc, provider_group=groups,
                         radio=radio)
+
+
+def _trim_to_total(per_site: np.ndarray, n_transceivers: int,
+                   rng: np.random.Generator) -> None:
+    """Adjust per-site counts in place until they sum to the target.
+
+    Draws a uniform site per step and moves its count one toward the
+    target (sites stay within [1, 12]); steps whose site is already at
+    the bound are spent.  Candidate sites are drawn in batches from a
+    copy of ``rng`` and the accept logic runs on Python ints; ``rng`` is
+    then advanced by exactly the draws used (``integers(n, size=k)``
+    consumes the stream ``k`` scalar ``integers(n)`` calls would), so
+    later draws see the state one scalar draw per step leaves.
+    """
+    total = int(per_site.sum())
+    if total == n_transceivers:
+        return
+    n_sites = len(per_site)
+    counts = per_site.tolist()
+    probe = copy.deepcopy(rng)
+    used = 0
+    while total != n_transceivers:
+        batch = probe.integers(n_sites,
+                               size=2 * abs(n_transceivers - total) + 64)
+        for i in batch.tolist():
+            used += 1
+            if total < n_transceivers:
+                if counts[i] < 12:
+                    counts[i] += 1
+                    total += 1
+            elif counts[i] > 1:
+                counts[i] -= 1
+                total -= 1
+            if total == n_transceivers:
+                break
+    rng.integers(n_sites, size=used)
+    per_site[:] = counts
 
 
 def _draw_provider_groups(u: np.ndarray,
@@ -310,6 +339,6 @@ def _draw_plmns(groups: np.ndarray, rng: np.random.Generator) \
             weights = 1.0 / (np.arange(len(plmns)) + 1.0)
             weights /= weights.sum()
         pick = rng.choice(len(plmns), size=count, p=weights)
-        mcc[mask] = np.array([plmns[i].mcc for i in pick], dtype=np.int32)
-        mnc[mask] = np.array([plmns[i].mnc for i in pick], dtype=np.int32)
+        mcc[mask] = np.array([p.mcc for p in plmns], dtype=np.int32)[pick]
+        mnc[mask] = np.array([p.mnc for p in plmns], dtype=np.int32)[pick]
     return mcc, mnc

@@ -102,10 +102,11 @@ class CountyLayer:
         self._ncols = int(np.ceil(bbox.width / tile_deg))
         # base tile key -> list of county indices inside that tile
         self._by_tile: dict[int, list[int]] = {}
-        for i, county in enumerate(counties[n_named:], start=n_named):
-            key = self._tile_key(county.bbox.center.lon,
-                                 county.bbox.center.lat)
-            self._by_tile.setdefault(int(key), []).append(i)
+        boxes = _bbox_array(counties[n_named:])
+        keys = self._tile_key((boxes[:, 0] + boxes[:, 2]) / 2.0,
+                              (boxes[:, 1] + boxes[:, 3]) / 2.0)
+        for i, key in enumerate(keys.tolist(), start=n_named):
+            self._by_tile.setdefault(key, []).append(i)
 
     def _tile_key(self, lon, lat):
         col = np.floor((np.asarray(lon) - self.bbox.min_lon)
@@ -174,6 +175,17 @@ class CountyLayer:
                 if c.category == PopCategory.POP_VH]
 
 
+def _bbox_array(counties: list[County]) -> np.ndarray:
+    """``(n, 4)`` min_lon/min_lat/max_lon/max_lat rows of the boxes.
+
+    Centers taken as ``(rows[:, 0] + rows[:, 2]) / 2.0`` are
+    :attr:`BBox.center` elementwise.
+    """
+    return np.array([(c.bbox.min_lon, c.bbox.min_lat, c.bbox.max_lon,
+                      c.bbox.max_lat) for c in counties],
+                    dtype=float).reshape(-1, 4)
+
+
 def _subdivide(tile: BBox, pop: PopulationSurface, min_deg: float) \
         -> list[tuple[BBox, int]]:
     """Recursively split a tile into quadrants while it is very dense."""
@@ -220,6 +232,16 @@ def _named_counties() -> list[County]:
     return named
 
 
+def _in_any(boxes: np.ndarray, lons: np.ndarray,
+            lats: np.ndarray) -> np.ndarray:
+    """Per point: inside (edges included) any of the ``(n, 4)`` boxes."""
+    inside = np.zeros(len(lons), dtype=bool)
+    for min_lon, min_lat, max_lon, max_lat in boxes.tolist():
+        inside |= ((min_lon <= lons) & (lons <= max_lon)
+                   & (min_lat <= lats) & (lats <= max_lat))
+    return inside
+
+
 def build_counties(pop: PopulationSurface, tile_deg: float = 0.35,
                    min_subdivision_deg: float = 0.17) -> CountyLayer:
     """Build the county layer: named metro counties + grid tiles.
@@ -239,42 +261,43 @@ def build_counties(pop: PopulationSurface, tile_deg: float = 0.35,
     n_cols = int(np.ceil(bbox.width / tile_deg))
     n_rows = int(np.ceil(bbox.height / tile_deg))
 
-    tiles: list[BBox] = []
-    for row in range(n_rows):
-        for col in range(n_cols):
-            min_lon = bbox.min_lon + col * tile_deg
-            min_lat = bbox.min_lat + row * tile_deg
-            tiles.append(BBox(min_lon, min_lat, min_lon + tile_deg,
-                              min_lat + tile_deg))
-
-    centers_lon = np.array([t.center.lon for t in tiles])
-    centers_lat = np.array([t.center.lat for t in tiles])
+    # Tile corners in row-major order, with the float ops a per-tile
+    # ``BBox(min_lon, min_lat, min_lon + tile_deg, min_lat + tile_deg)``
+    # and its center would do.
+    min_lons = np.tile(bbox.min_lon + np.arange(n_cols) * tile_deg, n_rows)
+    min_lats = np.repeat(bbox.min_lat + np.arange(n_rows) * tile_deg,
+                         n_cols)
+    max_lons = min_lons + tile_deg
+    max_lats = min_lats + tile_deg
+    centers_lon = (min_lons + max_lons) / 2.0
+    centers_lat = (min_lats + max_lats) / 2.0
     abbrs = assigner.assign_many(centers_lon, centers_lat)
     # assign_many is total (nearest-centroid fallback), so re-check which
     # tile centers are actually on land via the population surface.
     on_land = pop.density_at(centers_lon, centers_lat) > 0.0
-    in_named = np.zeros(len(tiles), dtype=bool)
-    for county in named:
-        in_named |= county.bbox.contains_many(centers_lon, centers_lat)
+    named_boxes = _bbox_array(named)
+    in_named = _in_any(named_boxes, centers_lon, centers_lat)
 
-    # Named-county boxes as parallel arrays: each quad-center containment
-    # test below is one vectorized comparison instead of a Python scan
-    # over every named county.
-    nb = np.array([[c.bbox.min_lon, c.bbox.min_lat,
-                    c.bbox.max_lon, c.bbox.max_lat] for c in named])
+    quads: list[tuple[BBox, int, str]] = []
+    for i in np.flatnonzero(on_land & ~in_named).tolist():
+        tile = BBox(float(min_lons[i]), float(min_lats[i]),
+                    float(max_lons[i]), float(max_lats[i]))
+        abbr = str(abbrs[i])
+        quads.extend((quad, population, abbr) for quad, population
+                     in _subdivide(tile, pop, min_subdivision_deg))
+    # Quads whose center a named county already covers are dropped.
+    qboxes = np.array([(q.min_lon, q.min_lat, q.max_lon, q.max_lat)
+                       for q, _, _ in quads], dtype=float).reshape(-1, 4)
+    shadowed = _in_any(named_boxes,
+                       (qboxes[:, 0] + qboxes[:, 2]) / 2.0,
+                       (qboxes[:, 1] + qboxes[:, 3]) / 2.0)
 
     counties: list[County] = list(named)
-    for tile, abbr, land, covered in zip(tiles, abbrs, on_land, in_named):
-        if not land or covered:
+    for (quad, population, abbr), drop in zip(quads, shadowed.tolist()):
+        if drop:
             continue
-        for quad, population in _subdivide(tile, pop, min_subdivision_deg):
-            qc = quad.center
-            if bool(((nb[:, 0] <= qc.lon) & (qc.lon <= nb[:, 2])
-                     & (nb[:, 1] <= qc.lat)
-                     & (qc.lat <= nb[:, 3])).any()):
-                continue
-            name = f"{abbr}-{len(counties):04d}"
-            counties.append(County(name=name, state=str(abbr), bbox=quad,
-                                   population=population))
+        counties.append(County(name=f"{abbr}-{len(counties):04d}",
+                               state=abbr, bbox=quad,
+                               population=population))
 
     return CountyLayer(counties, tile_deg, bbox, n_named=len(named))

@@ -16,6 +16,8 @@ ocean / Great Lakes).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..geo.geometry import BBox
@@ -198,12 +200,16 @@ class PopulationSurface:
     def population_in_bbox(self, bbox: BBox) -> float:
         """Total population inside a lon/lat box (cell-center rule)."""
         grid = self.grid
-        r0, c0 = grid.rowcol(bbox.min_lon, bbox.max_lat)
-        r1, c1 = grid.rowcol(bbox.max_lon, bbox.min_lat)
-        r0 = max(int(r0), 0)
-        c0 = max(int(c0), 0)
-        r1 = min(int(r1), grid.height - 1)
-        c1 = min(int(c1), grid.width - 1)
+        # GridSpec.rowcol's arithmetic on Python floats: the county
+        # builder calls this thousands of times, and numpy's 0-d array
+        # round trips would cost more than the window sum.
+        origin = grid.bbox
+        r0 = max(math.floor((origin.max_lat - bbox.max_lat) / grid.res), 0)
+        c0 = max(math.floor((bbox.min_lon - origin.min_lon) / grid.res), 0)
+        r1 = min(math.floor((origin.max_lat - bbox.min_lat) / grid.res),
+                 grid.height - 1)
+        c1 = min(math.floor((bbox.max_lon - origin.min_lon) / grid.res),
+                 grid.width - 1)
         if r0 > r1 or c0 > c1:
             return 0.0
         return float(self.raster.data[r0:r1 + 1, c0:c1 + 1].sum())

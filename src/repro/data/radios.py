@@ -51,32 +51,43 @@ def technology_mix(group: str) -> tuple[float, float, float, float]:
 
 
 def draw_radio_types(groups: np.ndarray, ruralness: np.ndarray,
-                     rng: np.random.Generator) -> np.ndarray:
+                     rng: np.random.Generator,
+                     names=None) -> np.ndarray:
     """Vectorized radio-type draw.
 
     Parameters
     ----------
     groups:
-        Array of provider group names (``"AT&T"`` ... ``"Others"``).
+        Array of provider group names (``"AT&T"`` ... ``"Others"``), or
+        integer codes into ``names`` when that is given.
     ruralness:
         Array in [0, 1]; 1 = deep wildland, 0 = dense urban core.  Shifts
         probability mass toward LTE in rural cells.
     rng:
         Seeded generator.
+    names:
+        Group name per code, for integer ``groups`` (e.g. the stored
+        :data:`repro.data.cells.PROVIDER_GROUPS` codes) — masks then
+        compare small ints instead of strings.
 
     Returns
     -------
     Array of :class:`RadioType` integer codes.
     """
     groups = np.asarray(groups)
+    if names is None:
+        names, groups = np.unique(groups, return_inverse=True)
     ruralness = np.clip(np.asarray(ruralness, dtype=float), 0.0, 1.0)
     n = len(groups)
     out = np.empty(n, dtype=np.int8)
     u = rng.random(n)
-    for group in set(groups.tolist()):
-        mask = groups == group
-        base = np.array(technology_mix(group), dtype=float)
-        probs = np.tile(base, (int(mask.sum()), 1))
+    for code, group in enumerate(names):
+        mask = groups == code
+        count = int(mask.sum())
+        if count == 0:
+            continue
+        base = np.array(technology_mix(str(group)), dtype=float)
+        probs = np.tile(base, (count, 1))
         tilt = _LTE_RURAL_TILT * ruralness[mask]
         non_lte = probs[:, :3].sum(axis=1)
         scale = np.where(non_lte > 0,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from ..geo.geometry import Polygon
+from ..geo.geometry import BBox, Polygon
 from ..geo.projection import acres_to_sqmeters, meters_per_degree
 from .cities import city_by_name
 from .historical_stats import year_stats
@@ -35,7 +35,8 @@ from .whp import WhpModel
 
 __all__ = ["FirePerimeter", "FireSeason", "generate_fire_season",
            "scripted_2019_fires", "scripted_2019_growth",
-           "interpolated_perimeter", "star_polygon",
+           "interpolated_perimeter", "star_polygon", "star_rings",
+           "ring_polygons",
            "SCRIPTED_LA_FIRES_2019"]
 
 #: Names of the two scripted fires that reproduce the paper's §3.4
@@ -92,6 +93,82 @@ class FireSeason:
         return sum(f.acres for f in self.fires)
 
 
+def star_rings(lons, lats, acres, noise, elongation=None,
+               bearing_deg=None, roughness: float = 0.45) -> np.ndarray:
+    """Batch kernel: ``(fires, vertices, 2)`` open CCW star rings.
+
+    Row ``i`` is the ring :func:`star_polygon` builds for fire ``i``
+    from ``noise[i]`` (its ``standard_normal(n_vertices)`` draw), bit
+    for bit: every step is the scalar path's elementwise expression
+    applied row-wise, and the per-fire libm calls (``meters_per_degree``
+    and the elongation ``cos``/``sin``) stay scalar ``math`` calls.
+    ``elongation``/``bearing_deg`` (one per fire, as in
+    :func:`star_polygon`) default to isotropic fires.
+    """
+    noise = np.asarray(noise, dtype=float)
+    n_fires, n_vertices = noise.shape
+    lons = np.asarray(lons, dtype=float)
+    lats = np.asarray(lats, dtype=float)
+    acres = np.asarray(acres, dtype=float)
+    elongation = (np.ones(n_fires) if elongation is None
+                  else np.asarray(elongation, dtype=float))
+    bearing_deg = (np.zeros(n_fires) if bearing_deg is None
+                   else np.asarray(bearing_deg, dtype=float))
+    if (acres <= 0).any():
+        raise ValueError("fire area must be positive")
+    if (elongation < 1.0).any():
+        raise ValueError("elongation must be >= 1")
+    # Circular smoothing keeps the outline coherent rather than spiky.
+    noise = ndimage.uniform_filter1d(noise, size=5, mode="wrap", axis=1)
+    noise = noise / np.maximum(np.abs(noise).max(axis=1), 1e-9)[:, None]
+    # Same values as np.clip(..., 0.25, None) without the clip wrapper.
+    radii_rel = np.maximum(1.0 + roughness * noise, 0.25)
+
+    cos_theta, sin_theta, sin_dtheta = _star_trig(n_vertices)
+    # Polygon area for radial function r(θ): A = 1/2 Σ r_i r_{i+1} sin Δθ.
+    radii_next = np.concatenate((radii_rel[:, 1:], radii_rel[:, :1]),
+                                axis=1)
+    unit_area = 0.5 * (np.sum(radii_rel * radii_next, axis=1)
+                       * sin_dtheta)
+    base_r = np.sqrt(acres_to_sqmeters(acres) / unit_area)[:, None]
+
+    x = base_r * radii_rel * cos_theta
+    y = base_r * radii_rel * sin_theta
+    windy = np.flatnonzero(elongation > 1.0)
+    if len(windy):
+        # Area-preserving anisotropic scaling along the wind bearing.
+        stretch = np.sqrt(elongation[windy])[:, None]
+        # bearing (clockwise from north) -> math angle, per fire in libm
+        wind = [math.radians(90.0 - b) for b in bearing_deg[windy].tolist()]
+        ca = np.array([math.cos(w) for w in wind])[:, None]
+        sa = np.array([math.sin(w) for w in wind])[:, None]
+        xw, yw = x[windy], y[windy]
+        along = (xw * ca + yw * sa) * stretch
+        across = (-xw * sa + yw * ca) / stretch
+        x[windy] = along * ca - across * sa
+        y[windy] = along * sa + across * ca
+
+    scale = np.array([meters_per_degree(lat) for lat in lats.tolist()]
+                     ).reshape(n_fires, 2)
+    rings = np.empty((n_fires, n_vertices, 2))
+    rings[:, :, 0] = lons[:, None] + x / scale[:, :1]
+    rings[:, :, 1] = lats[:, None] + y / scale[:, 1:]
+    return rings
+
+
+def ring_polygons(rings: np.ndarray) -> list[Polygon]:
+    """Polygons over the rows of a :func:`star_rings` batch.
+
+    The rings are CCW by construction (theta increases counter-clockwise,
+    radii are positive) and open, so the trusted constructor applies;
+    bounding boxes come from one vectorized min/max pass.
+    """
+    lo = rings.min(axis=1).tolist()
+    hi = rings.max(axis=1).tolist()
+    return [Polygon.from_ccw_ring(ring, BBox(*a, *b))
+            for ring, a, b in zip(rings, lo, hi)]
+
+
 def star_polygon(lon: float, lat: float, acres: float,
                  rng: np.random.Generator, n_vertices: int = 24,
                  roughness: float = 0.45, elongation: float = 1.0,
@@ -104,43 +181,18 @@ def star_polygon(lon: float, lat: float, acres: float,
     ``elongation`` > 1 stretches the shape along ``bearing_deg``
     (clockwise from north) and compresses it across, preserving area —
     the footprint of a wind-driven fire (Santa Ana events stretch
-    perimeters 2-4x along the wind).
+    perimeters 2-4x along the wind).  One-fire wrapper around
+    :func:`star_rings`; generators that emit many perimeters draw the
+    noise rows themselves and call the kernel once.
     """
     if acres <= 0:
         raise ValueError("fire area must be positive")
     if elongation < 1.0:
         raise ValueError("elongation must be >= 1")
     noise = rng.standard_normal(n_vertices)
-    # Circular smoothing keeps the outline coherent rather than spiky.
-    noise = ndimage.uniform_filter1d(noise, size=5, mode="wrap")
-    noise = noise / max(np.abs(noise).max(), 1e-9)
-    # Same values as np.clip(..., 0.25, None) without the clip wrapper.
-    radii_rel = np.maximum(1.0 + roughness * noise, 0.25)
-
-    cos_theta, sin_theta, sin_dtheta = _star_trig(n_vertices)
-    # Polygon area for radial function r(θ): A = 1/2 Σ r_i r_{i+1} sin Δθ.
-    radii_next = np.concatenate((radii_rel[1:], radii_rel[:1]))
-    unit_area = 0.5 * float(np.sum(radii_rel * radii_next) * sin_dtheta)
-    base_r = math.sqrt(acres_to_sqmeters(acres) / unit_area)
-
-    x = base_r * radii_rel * cos_theta
-    y = base_r * radii_rel * sin_theta
-    if elongation > 1.0:
-        # Area-preserving anisotropic scaling along the wind bearing.
-        stretch = math.sqrt(elongation)
-        wind = math.radians(90.0 - bearing_deg)  # bearing -> math angle
-        ca, sa = math.cos(wind), math.sin(wind)
-        along = (x * ca + y * sa) * stretch
-        across = (-x * sa + y * ca) / stretch
-        x = along * ca - across * sa
-        y = along * sa + across * ca
-
-    mx, my = meters_per_degree(lat)
-    lons = lon + x / mx
-    lats = lat + y / my
-    # The ring is CCW by construction (theta increases counter-clockwise,
-    # radii are positive) and open, so the trusted constructor applies.
-    return Polygon.from_ccw_ring(np.column_stack([lons, lats]))
+    rings = star_rings([lon], [lat], [acres], noise[None, :],
+                       [elongation], [bearing_deg], roughness=roughness)
+    return ring_polygons(rings)[0]
 
 
 def _pareto_sizes(n: int, total_acres: float, rng: np.random.Generator,
@@ -186,17 +238,26 @@ def generate_fire_season(year: int, whp: WhpModel, seed: int | None = None,
     lons = lons + rng.uniform(-half, half, size=n_perimeter_fires)
     lats = lats + rng.uniform(-half, half, size=n_perimeter_fires)
 
-    fires = []
+    # Per-fire draws in the scalar generator's order (start day,
+    # elongation, bearing, then the perimeter's 24 noise values); the
+    # perimeters themselves are one star_rings batch.
+    starts = []
+    elongations = []
+    bearings = []
+    noise = np.empty((n_perimeter_fires, 24))
     for i in range(n_perimeter_fires):
         # Scalar min/max equals np.clip on floats, minus ~8us of ufunc
         # dispatch per call — this loop runs tens of thousands of times.
-        start = int(min(max(rng.normal(225, 45), 32), 340))
+        starts.append(int(min(max(rng.normal(225, 45), 32), 340)))
+        elongations.append(float(rng.uniform(*elongation_range)))
+        bearings.append(float(rng.uniform(0, 360)))
+        rng.standard_normal(out=noise[i])
+    polygons = ring_polygons(star_rings(lons, lats, sizes, noise,
+                                        elongations, bearings))
+
+    fires = []
+    for i, (start, poly) in enumerate(zip(starts, polygons)):
         duration = int(min(max(2 + sizes[i] ** 0.33, 2), 90))
-        elongation = float(rng.uniform(*elongation_range))
-        poly = star_polygon(float(lons[i]), float(lats[i]),
-                            float(sizes[i]), rng,
-                            elongation=elongation,
-                            bearing_deg=float(rng.uniform(0, 360)))
         fires.append(FirePerimeter(
             name=f"FIRE-{year}-{i:04d}",
             year=year,
@@ -244,17 +305,16 @@ def scripted_2019_fires(seed: int = 2019) -> list[FirePerimeter]:
     urban fringe and highway corridor north of LA.
     """
     rng = np.random.default_rng(seed)
-    fires = []
-    for (name, agency, anchor, dlon, dlat, acres,
-         start, end) in _SCRIPTED_2019:
-        city = city_by_name(anchor)
-        fires.append(FirePerimeter(
-            name=name, year=2019, start_doy=start, end_doy=end,
-            acres=acres,
-            polygon=star_polygon(city.lon + dlon, city.lat + dlat,
-                                 acres, rng),
-            agency=agency))
-    return fires
+    noise = rng.standard_normal((len(_SCRIPTED_2019), 24))
+    centers = _scripted_centers()
+    polygons = ring_polygons(star_rings(
+        [lon for lon, _ in centers], [lat for _, lat in centers],
+        [row[5] for row in _SCRIPTED_2019], noise))
+    return [FirePerimeter(name=name, year=2019, start_doy=start,
+                          end_doy=end, acres=acres, polygon=poly,
+                          agency=agency)
+            for (name, agency, _, _, _, acres, start, end), poly
+            in zip(_SCRIPTED_2019, polygons)]
 
 
 def interpolated_perimeter(fire: FirePerimeter, center_lon: float,

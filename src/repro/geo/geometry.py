@@ -160,7 +160,8 @@ class Polygon:
         self._prepared: PreparedPolygon | None = None
 
     @classmethod
-    def from_ccw_ring(cls, exterior) -> "Polygon":
+    def from_ccw_ring(cls, exterior, bbox: BBox | None = None) \
+            -> "Polygon":
         """Trusted fast constructor: an open CCW exterior, no holes.
 
         Skips ring validation and winding normalization, so the caller
@@ -168,15 +169,17 @@ class Polygon:
         and has no duplicated closing vertex.  Produces a polygon
         bit-identical to ``Polygon(exterior)`` for such input; generators
         that emit thousands of perimeters (see
-        :func:`repro.data.wildfires.star_polygon`) use it to stay off
-        the per-ring shoelace/closure checks.
+        :func:`repro.data.wildfires.star_rings`) use it to stay off
+        the per-ring shoelace/closure checks, and may pass the ring's
+        exact min/max ``bbox`` when they computed it in a batch.
         """
         poly = cls.__new__(cls)
         arr = np.ascontiguousarray(exterior, dtype=float)
         arr.setflags(write=False)
         poly.exterior = arr
         poly.holes = ()
-        poly._bbox = BBox.of_coords(arr[:, 0], arr[:, 1])
+        poly._bbox = bbox if bbox is not None \
+            else BBox.of_coords(arr[:, 0], arr[:, 1])
         poly._prepared = None
         return poly
 

@@ -29,7 +29,8 @@ from ..data.wildfires import (
     FirePerimeter,
     _pareto_sizes,
     interpolated_perimeter,
-    star_polygon,
+    ring_polygons,
+    star_rings,
 )
 from ..session import session_of
 from .base import EventSet, Hazard
@@ -117,22 +118,30 @@ class GridIgnitedFireHazard(Hazard):
         ts = rng.uniform(0.05, 0.95, size=self.n_events)
         sizes = _pareto_sizes(self.n_events, self.total_acres, rng)
 
-        events = []
+        centers = []
+        bearings = []
+        starts = []
+        elongations = []
+        noise = np.empty((self.n_events, 24))
         for i in range(self.n_events):
             j = picks[i]
-            lon = float(ax[j] + ts[i] * (bx[j] - ax[j]))
-            lat = float(ay[j] + ts[i] * (by[j] - ay[j]))
+            centers.append((float(ax[j] + ts[i] * (bx[j] - ax[j])),
+                            float(ay[j] + ts[i] * (by[j] - ay[j]))))
             # Line bearing, clockwise from north — the wind direction
             # the perimeter is stretched along.
-            bearing = math.degrees(
+            bearings.append(math.degrees(
                 math.atan2(float(bx[j] - ax[j]),
-                           float(by[j] - ay[j]))) % 360.0
-            start = int(min(max(rng.normal(250, 30), 200), 340))
+                           float(by[j] - ay[j]))) % 360.0)
+            starts.append(int(min(max(rng.normal(250, 30), 200), 340)))
+            elongations.append(float(rng.uniform(*self.elongation_range)))
+            rng.standard_normal(out=noise[i])
+        polygons = ring_polygons(star_rings(
+            [lon for lon, _ in centers], [lat for _, lat in centers],
+            sizes, noise, elongations, bearings))
+
+        events = []
+        for i, (start, poly) in enumerate(zip(starts, polygons)):
             duration = int(min(max(2 + sizes[i] ** 0.33, 2), 60))
-            poly = star_polygon(
-                lon, lat, float(sizes[i]), rng,
-                elongation=float(rng.uniform(*self.elongation_range)),
-                bearing_deg=bearing)
             events.append((FirePerimeter(
                 name=f"GRIDFIRE-{year}-{member:02d}-{i:03d}",
                 year=year,
@@ -141,7 +150,7 @@ class GridIgnitedFireHazard(Hazard):
                 acres=float(sizes[i]),
                 polygon=poly,
                 agency="UTILITY",
-                method="SCADA"), (lon, lat)))
+                method="SCADA"), centers[i]))
         return events
 
     # -- streaming -----------------------------------------------------

@@ -165,16 +165,18 @@ def ensemble_impacts(universe, member_events: list[list], year: int, *,
     Members dispatch as whole tasks through the persistent universe
     pool — the exact task shape (a fire list in, per-fire counts plus
     global hit indices out) the batch overlay shards by fire slices —
-    so an N-member ensemble costs one warm pool round-trip.  Pool
-    failure falls back to the serial joins, bit-identically.
+    so an N-member ensemble costs one warm pool round-trip.  The pool
+    never outnumbers the members or the CPU budget.  Pool failure falls
+    back to the serial joins, bit-identically.
     """
     from ..core import overlay as ov
-    from ..runtime import get_config, run_tasks
+    from ..runtime import dispatch, get_config, run_tasks
 
     cells = universe.cells
     if workers is None:
         workers = get_config().workers
-    eff_workers = max(1, min(workers, len(member_events)))
+    eff_workers = max(1, min(workers, len(member_events),
+                             dispatch.cpu_budget()))
 
     results = None
     if eff_workers > 1:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from ..data.wildfires import _pareto_sizes, star_polygon
+from ..data.wildfires import _pareto_sizes, ring_polygons, star_rings
 from .base import EventSet, FootprintEvent, Hazard
 
 __all__ = ["WindFieldSurface", "WindFootprintHazard"]
@@ -120,20 +120,24 @@ class WindFootprintHazard(Hazard):
         sizes = _pareto_sizes(self.n_events, self.total_acres, rng,
                               alpha=0.8, min_acres=5_000.0,
                               max_acres=400_000.0)
-        events = []
+        starts = []
+        elongations = []
+        bearings = []
+        noise = np.empty((self.n_events, 20))
         for i in range(self.n_events):
-            start = int(rng.integers(1, 350))
-            poly = star_polygon(
-                float(lons[i]), float(lats[i]), float(sizes[i]), rng,
-                n_vertices=20, roughness=0.15,
-                elongation=float(rng.uniform(4.0, 8.0)),
-                bearing_deg=float(rng.uniform(40.0, 140.0)))
-            events.append(FootprintEvent(
-                name=f"WIND-{year}-{member:02d}-{i:03d}",
-                year=year,
-                start_doy=start,
-                end_doy=min(start + 2, 364),
-                acres=float(sizes[i]),
-                polygon=poly,
-                kind="wind-swath"))
-        return events
+            starts.append(int(rng.integers(1, 350)))
+            elongations.append(float(rng.uniform(4.0, 8.0)))
+            bearings.append(float(rng.uniform(40.0, 140.0)))
+            rng.standard_normal(out=noise[i])
+        polygons = ring_polygons(star_rings(
+            lons, lats, sizes, noise, elongations, bearings,
+            roughness=0.15))
+        return [FootprintEvent(
+                    name=f"WIND-{year}-{member:02d}-{i:03d}",
+                    year=year,
+                    start_doy=start,
+                    end_doy=min(start + 2, 364),
+                    acres=float(sizes[i]),
+                    polygon=poly,
+                    kind="wind-swath")
+                for i, (start, poly) in enumerate(zip(starts, polygons))]

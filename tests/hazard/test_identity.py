@@ -14,7 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.overlay import classify_cells, overlay_fires
+from repro.data.wildfires import scripted_2019_fires
 from repro.hazard import WildfireHazard, get_hazard
+from repro.obs.manifest import fingerprint
 from repro.session import session_of
 from repro.stream.incident import run_scripted_incident
 
@@ -84,3 +86,35 @@ class TestStreamEquivalence:
                               year=year)
         assert result.final.n_in_perimeter == batch.n_in_perimeter
         assert result.final.per_fire_counts == batch.per_fire_counts
+
+
+def _perimeter_fingerprint(events) -> str:
+    """Content fingerprint of events: attributes plus exact ring bytes."""
+    return fingerprint([(e.name, e.year, e.start_doy, e.end_doy, e.acres,
+                         e.polygon.exterior) for e in events])
+
+
+class TestNonWildfirePins:
+    """Byte pins for the perimeters the non-wildfire generators emit.
+
+    Recorded before the star perimeters moved onto the batch
+    ``star_rings`` kernel; any change to a draw's order or to the ring
+    arithmetic moves these digests.
+    """
+
+    def test_grid_fire_member_zero(self, universe):
+        events = get_hazard("grid_fire").ensemble_member(universe, 2019, 0)
+        assert _perimeter_fingerprint(events) == (
+            "8e507f776443edb69cf4b7652af7a97b"
+            "07a4fe07c8e3e4316c00543d49fad949")
+
+    def test_wind_member_zero(self, universe):
+        events = get_hazard("wind").ensemble_member(universe, 2019, 0)
+        assert _perimeter_fingerprint(events) == (
+            "ac19b570a80a7db7c72d646c0b4ef828"
+            "c18fa4edf1adc2dde96906b0429f8c04")
+
+    def test_scripted_2019_fires(self):
+        assert _perimeter_fingerprint(scripted_2019_fires()) == (
+            "ff0bb2b6038be8caaf731ab66863927f"
+            "b01ddcf1def4a2f9a11fdf790850e70b")

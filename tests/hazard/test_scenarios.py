@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import runtime
 from repro.core import report
 from repro.hazard import (
     get_scenario,
@@ -19,6 +20,7 @@ from repro.hazard import (
 from repro.hazard.scenarios import ensemble_impacts
 from repro.obs.ledger import compare_runs
 from repro.obs.manifest import RunManifest
+from repro.runtime import STATS, dispatch
 from repro.session import session_of
 
 
@@ -62,7 +64,8 @@ class TestDeterminismAndPooling:
         assert [m.impacted for m in a.members] \
             == [m.impacted for m in b.members]
 
-    def test_pooled_matches_serial(self, universe):
+    def test_pooled_matches_serial(self, universe, monkeypatch):
+        monkeypatch.setattr(dispatch, "CPU_COUNT_OVERRIDE", 2)
         scenario = get_scenario("grid-ignition-season")
         member_events = [
             scenario.hazard.ensemble_member(universe, scenario.year, m)
@@ -72,6 +75,29 @@ class TestDeterminismAndPooling:
         pooled = ensemble_impacts(universe, member_events,
                                   scenario.year, workers=2)
         assert serial == pooled
+
+    def test_pool_is_clamped_to_the_cpu_budget(self, universe,
+                                               monkeypatch):
+        """One usable core: ``workers=4`` creates no pool and equals
+        the serial impacts."""
+        scenario = get_scenario("grid-ignition-season")
+        member_events = [
+            scenario.hazard.ensemble_member(universe, scenario.year, m)
+            for m in range(3)]
+        serial = ensemble_impacts(universe, member_events,
+                                  scenario.year, workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was requested on one core")
+
+        monkeypatch.setattr(dispatch, "CPU_COUNT_OVERRIDE", 1)
+        monkeypatch.setattr(runtime, "run_tasks", no_pool)
+        created = STATS.snapshot()["counters"].get("pool.created", 0)
+        clamped = ensemble_impacts(universe, member_events,
+                                   scenario.year, workers=4)
+        assert clamped == serial
+        assert STATS.snapshot()["counters"].get("pool.created", 0) \
+            == created
 
     def test_member_count_validation(self, universe):
         with pytest.raises(ValueError):
