@@ -235,13 +235,9 @@ def _overlay_fires_task(fires: list[HazardEvent]):
     """
     before = STATS.snapshot()
     with trace_span("overlay.chunk", n_fires=len(fires)) as sp:
-        index = _worker_index()
-        counts = np.zeros(len(fires), dtype=np.int64)
-        hit_chunks = []
-        for i, fire in enumerate(fires):
-            hits = index.query_polygon(fire.polygon)
-            counts[i] = len(hits)
-            hit_chunks.append(hits)
+        hit_chunks = _worker_index().query_polygons(
+            [fire.polygon for fire in fires])
+        counts = np.array([len(h) for h in hit_chunks], dtype=np.int64)
         hits = np.concatenate(hit_chunks) if hit_chunks \
             else np.empty(0, dtype=np.int64)
         sp.set(hits=int(counts.sum()))
@@ -361,16 +357,14 @@ def overlay_fires(cells: CellUniverse, fires: list[HazardEvent],
 def _overlay_serial(cells: CellUniverse, fires: list[HazardEvent],
                     year: int, keep_hits: bool = False) \
         -> FireOverlayResult:
-    index = cells.index()
+    fire_hits = cells.index().query_polygons([f.polygon for f in fires])
     mask = np.zeros(len(cells), dtype=bool)
-    per_fire: dict[str, int] = {}
-    hits_map: dict[str, np.ndarray] | None = {} if keep_hits else None
-    for fire in fires:
-        hits = index.query_polygon(fire.polygon)
-        per_fire[fire.name] = len(hits)
-        if hits_map is not None:
-            hits_map[fire.name] = hits
-        mask[hits] = True
+    if fire_hits:
+        mask[np.concatenate(fire_hits)] = True
+    per_fire = {fire.name: len(hits)
+                for fire, hits in zip(fires, fire_hits)}
+    hits_map = {fire.name: hits for fire, hits in zip(fires, fire_hits)} \
+        if keep_hits else None
     return FireOverlayResult(year=year, n_fires=len(fires),
                              in_perimeter_mask=mask,
                              per_fire_counts=per_fire,

@@ -77,12 +77,13 @@ def _compute_power_impact(session, year: int,
     season = universe.fire_season(year)
 
     # Direct: sites with any transceiver inside a perimeter.
-    index = cells.index()
+    fire_hits = cells.index().query_polygons(
+        [fire.polygon for fire in season.fires])
     direct_tx = np.zeros(len(cells), dtype=bool)
+    if fire_hits:
+        direct_tx[np.concatenate(fire_hits)] = True
     dead_subs: set[int] = set()
     for fire in season.fires:
-        hits = index.query_polygon(fire.polygon)
-        direct_tx[hits] = True
         dead_subs.update(
             int(s) for s in grid.substations_in_polygon(fire.polygon))
     direct_sites = set(np.unique(cells.site_ids[direct_tx]).tolist())

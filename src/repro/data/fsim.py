@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geo.raster import Raster
+from .sampling import draw_from_cdf, weighted_cdf
 from .whp import DEFAULT_TARGET_SHARES, WhpModel, WHPClass, _classify
 
 __all__ = ["FsimConfig", "BurnProbability", "run_fsim",
@@ -81,10 +82,8 @@ def run_fsim(whp: WhpModel, config: FsimConfig | None = None) \
     fuel = np.clip(fuel / peak, 0.0, 1.0)
     height, width = fuel.shape
 
-    ignition_weights = fuel.ravel()
-    prob = ignition_weights / ignition_weights.sum()
-    ignition_cells = rng.choice(len(prob), size=config.n_ignitions,
-                                p=prob)
+    ignition_cells = draw_from_cdf(weighted_cdf(fuel.ravel()),
+                                   config.n_ignitions, rng)
 
     burn_counts = np.zeros(fuel.shape, dtype=np.int32)
     total_burned = 0

@@ -24,12 +24,90 @@ from ..geo.geometry import BBox
 from ..geo.raster import GridSpec, Raster
 from .cities import conus_cities
 from .roads import distance_to_roads_deg, road_segments
+from .sampling import draw_from_cdf, weighted_cdf
 from .states import StateAssigner, conus_bbox
 
 __all__ = ["PopulationSurface", "CONUS_POPULATION"]
 
 #: 2018 conterminous-US population (Census estimate, AK/HI excluded).
 CONUS_POPULATION = 325_300_000
+
+
+def _kernel_window(lon_axis: np.ndarray, lat_axis: np.ndarray,
+                   lon0: float, lat0: float, sigma: float):
+    """``(window, kernel)``: ``exp(-d2 / (2 sigma^2))`` over its window.
+
+    The grid is separable (lon depends on col only, lat on row only), so
+    the squared distance is an outer sum of two 1-D terms, bit-identical
+    to the full-grid expression.  The window is the rows and columns
+    where the 1-D term ``exp(-du2 / (2 sigma^2))`` (resp. ``dv2``) is
+    nonzero: ``d2 >= du2`` and every step is monotone, so outside it the
+    full-grid ``exp`` underflows to exactly 0.0.  ``(None, None)`` when
+    the window is empty.
+    """
+    two_s2 = 2.0 * sigma * sigma
+    du2 = ((lon_axis - lon0) * np.cos(np.radians(lat0))) ** 2
+    dv2 = (lat_axis - lat0) ** 2
+    c = np.flatnonzero(np.exp(-du2 / two_s2))
+    r = np.flatnonzero(np.exp(-dv2 / two_s2))
+    if len(c) == 0 or len(r) == 0:
+        return None, None
+    win = (slice(r[0], r[-1] + 1), slice(c[0], c[-1] + 1))
+    d2 = du2[None, win[1]] + dv2[win[0], None]
+    return win, np.exp(-d2 / two_s2)
+
+
+def _metro_density(grid: GridSpec, land: np.ndarray) -> np.ndarray:
+    """Metro kernels minus wildland-front voids, raveled like ``land``.
+
+    Every kernel is evaluated only inside its :func:`_kernel_window`;
+    outside it the full-grid kernel is exactly 0.0, where adding 0.0
+    (metros) or multiplying by ``1.0 - 0.0`` (fronts) leaves the density
+    unchanged, so the result is bit-identical to full-grid evaluation.
+    """
+    rows = np.arange(grid.height)
+    cols = np.arange(grid.width)
+    lon_axis, _ = grid.cell_center(0, cols)
+    _, lat_axis = grid.cell_center(rows, 0)
+    density = np.zeros(land.shape)
+    density2d = density.reshape(grid.shape)
+    land2d = land.reshape(grid.shape)
+    # The normalizing total sums the kernel at its full-grid position in
+    # a zero buffer, so NumPy's pairwise summation order is unchanged.
+    scratch = np.zeros(land.shape)
+    scratch2d = scratch.reshape(grid.shape)
+
+    # Metro kernels, each normalized to integrate to its metro
+    # population so large metros do not grab a disproportionate share.
+    for city in conus_cities():
+        # Kernel scale (degrees) grows sublinearly with metro size:
+        # ~0.13 deg for a 0.5M metro, ~0.35 deg for a 13M metro.
+        # Kept tight so county tiles away from the anchor stay under
+        # the 1.5M "very dense" cut (the paper has 23 such counties).
+        sigma = 0.08 * (city.metro_pop / 1e5) ** 0.30
+        win, kernel = _kernel_window(lon_axis, lat_axis, city.lon,
+                                     city.lat, sigma)
+        if win is None:
+            continue
+        kernel = kernel * land2d[win]
+        scratch2d[win] = kernel
+        total = scratch.sum()
+        scratch2d[win] = 0.0
+        if total > 0:
+            density2d[win] += city.metro_pop * kernel / total
+
+    # Wildland-front voids: the terrain features adjacent to metros
+    # (San Gabriel mountains, Wasatch front, Everglades) hold almost
+    # no people, even though the metro kernels overlap them.
+    for city in conus_cities():
+        front = city.wildland_front
+        if front is None:
+            continue
+        flon, flat, sigma, _boost = front
+        win, kernel = _kernel_window(lon_axis, lat_axis, flon, flat, sigma)
+        if win is not None:
+            density2d[win] *= 1.0 - 0.65 * kernel
+    return density
 
 
 class PopulationSurface:
@@ -56,6 +134,8 @@ class PopulationSurface:
         self._assigner = StateAssigner()
         self.road_distance: Raster | None = None
         self.raster = self._build()
+        #: Placement CDF per ``sample_points`` exponent.
+        self._sample_cdfs: dict[float, np.ndarray] = {}
 
     def _build(self) -> Raster:
         grid = self.grid
@@ -66,43 +146,7 @@ class PopulationSurface:
 
         land = self._land_mask(lons, lats)
 
-        # The grid is separable (lon depends on col only, lat on row
-        # only), so every kernel's squared distance is an outer sum of
-        # two 1-D terms — bit-identical to the full-grid expression,
-        # built from W + H elements instead of W * H.
-        lon_axis, _ = grid.cell_center(0, cols)
-        _, lat_axis = grid.cell_center(rows, 0)
-
-        def kernel_d2(lon0: float, lat0: float) -> np.ndarray:
-            du2 = ((lon_axis - lon0) * np.cos(np.radians(lat0))) ** 2
-            dv2 = (lat_axis - lat0) ** 2
-            return (du2[None, :] + dv2[:, None]).ravel()
-
-        # Metro kernels, each normalized to integrate to its metro
-        # population so large metros do not grab a disproportionate share.
-        density = np.zeros(lons.shape)
-        for city in conus_cities():
-            # Kernel scale (degrees) grows sublinearly with metro size:
-            # ~0.13 deg for a 0.5M metro, ~0.35 deg for a 13M metro.
-            # Kept tight so county tiles away from the anchor stay under
-            # the 1.5M "very dense" cut (the paper has 23 such counties).
-            sigma = 0.08 * (city.metro_pop / 1e5) ** 0.30
-            d2 = kernel_d2(city.lon, city.lat)
-            kernel = np.exp(-d2 / (2.0 * sigma * sigma)) * land
-            total = kernel.sum()
-            if total > 0:
-                density += city.metro_pop * kernel / total
-
-        # Wildland-front voids: the terrain features adjacent to metros
-        # (San Gabriel mountains, Wasatch front, Everglades) hold almost
-        # no people, even though the metro kernels overlap them.
-        for city in conus_cities():
-            front = city.wildland_front
-            if front is None:
-                continue
-            flon, flat, sigma, _boost = front
-            d2 = kernel_d2(flon, flat)
-            density *= 1.0 - 0.65 * np.exp(-d2 / (2.0 * sigma * sigma))
+        density = _metro_density(grid, land)
 
         # Remaining population: road-corridor towns plus a rural floor.
         road_d = distance_to_roads_deg(lons, lats)
@@ -247,9 +291,11 @@ class PopulationSurface:
         flattens the distribution (more rural coverage), matching how cell
         sites are somewhat less concentrated than people.
         """
-        weights = np.power(self.raster.data.ravel(), exponent)
-        weights = weights / weights.sum()
-        cells = rng.choice(len(weights), size=n, p=weights)
+        cdf = self._sample_cdfs.get(exponent)
+        if cdf is None:
+            cdf = self._sample_cdfs[exponent] = weighted_cdf(
+                np.power(self.raster.data.ravel(), exponent))
+        cells = draw_from_cdf(cdf, n, rng)
         rows, cols = np.unravel_index(cells, self.grid.shape)
         lons, lats = self.grid.cell_center(rows, cols)
         half = self.grid.res / 2.0

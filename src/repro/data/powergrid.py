@@ -88,21 +88,11 @@ class PowerGrid:
         the PSPS-candidate test: utilities de-energize lines that
         traverse high-hazard terrain.
         """
-        grid = whp.grid
-        hits = []
-        for i, (a, b) in enumerate(self.lines):
-            x1, y1 = self.substation_lons[a], self.substation_lats[a]
-            x2, y2 = self.substation_lons[b], self.substation_lats[b]
-            length = float(np.hypot(x2 - x1, y2 - y1))
-            n = max(2, int(length / step_deg))
-            ts = np.linspace(0.0, 1.0, n)
-            lons = x1 + ts * (x2 - x1)
-            lats = y1 + ts * (y2 - y1)
-            rows, cols = grid.rowcol(lons, lats)
-            ok = grid.inside(rows, cols)
-            if ok.any() and mask[rows[ok], cols[ok]].any():
-                hits.append(i)
-        return np.asarray(hits, dtype=np.int64)
+        a, b = self.lines[:, 0], self.lines[:, 1]
+        crossed = _runs_cross_mask(
+            whp, mask, self.substation_lons[a], self.substation_lats[a],
+            self.substation_lons[b], self.substation_lats[b], step_deg)
+        return np.flatnonzero(crossed).astype(np.int64)
 
     def feeder_cut_sites(self, cells: CellUniverse, whp: WhpModel,
                          mask: np.ndarray,
@@ -114,40 +104,16 @@ class PowerGrid:
         power — the §3.2 mechanism by which sites far outside a
         perimeter go dark.
         """
-        grid = whp.grid
         site_ids, first = np.unique(cells.site_ids, return_index=True)
-        site_lons = cells.lons[first]
-        site_lats = cells.lats[first]
-        # Sample every feeder, then do one batched grid lookup for all
-        # samples; the per-site verdict is a segmented any().
-        sids: list[int] = []
-        counts: list[int] = []
-        lon_chunks: list[np.ndarray] = []
-        lat_chunks: list[np.ndarray] = []
-        for sid, lon, lat in zip(site_ids.tolist(), site_lons,
-                                 site_lats):
-            sub = self.site_substation.get(int(sid))
-            if sub is None:
-                continue
-            x2 = self.substation_lons[sub]
-            y2 = self.substation_lats[sub]
-            length = float(np.hypot(x2 - lon, y2 - lat))
-            n = max(2, int(length / step_deg))
-            ts = np.linspace(0.0, 1.0, n)
-            lon_chunks.append(lon + ts * (x2 - lon))
-            lat_chunks.append(lat + ts * (y2 - lat))
-            sids.append(int(sid))
-            counts.append(n)
-        if not sids:
-            return set()
-        rows, cols = grid.rowcol(np.concatenate(lon_chunks),
-                                 np.concatenate(lat_chunks))
-        ok = grid.inside(rows, cols)
-        hit = np.zeros(len(rows), dtype=bool)
-        hit[ok] = mask[rows[ok], cols[ok]]
-        offsets = np.cumsum([0] + counts[:-1])
-        crossed = np.logical_or.reduceat(hit, offsets)
-        return {sid for sid, c in zip(sids, crossed.tolist()) if c}
+        subs = np.array([self.site_substation.get(sid, -1)
+                         for sid in site_ids.tolist()], dtype=np.int64)
+        fed = subs >= 0
+        site_ids, first, subs = site_ids[fed], first[fed], subs[fed]
+        crossed = _runs_cross_mask(
+            whp, mask, cells.lons[first], cells.lats[first],
+            self.substation_lons[subs], self.substation_lats[subs],
+            step_deg)
+        return set(site_ids[crossed].tolist())
 
     def dead_sites(self, dead_substations: set[int],
                    cut_lines: set[int]) -> set[int]:
@@ -229,6 +195,45 @@ def build_power_grid(pop: PopulationSurface, cells: CellUniverse,
     return PowerGrid(substation_lons=sub_lons, substation_lats=sub_lats,
                      lines=lines, site_substation=assignment,
                      graph=graph)
+
+
+def _sample_runs(x1, y1, x2, y2, step_deg: float):
+    """Samples along many straight runs: ``(lons, lats, offsets)``.
+
+    Run ``i`` from ``(x1[i], y1[i])`` to ``(x2[i], y2[i])`` gets
+    ``n = max(2, int(length / step_deg))`` samples at
+    ``x1 + ts * (x2 - x1)`` with ``ts = np.linspace(0, 1, n)``; its
+    samples are ``[offsets[i], offsets[i] + n)`` of the flat arrays.
+    ``linspace(0, 1, n)`` computes ``k * (1.0 / (n - 1))`` and pins the
+    last sample to ``1.0``, which the flat form reproduces bit for bit
+    without one ``linspace`` call per run.
+    """
+    x1, y1, x2, y2 = (np.asarray(v, dtype=float) for v in (x1, y1, x2, y2))
+    length = np.hypot(x2 - x1, y2 - y1)
+    n = np.maximum(2, (length / step_deg).astype(np.int64))
+    offsets = np.cumsum(n) - n
+    k = np.arange(int(n.sum()), dtype=np.int64) - np.repeat(offsets, n)
+    ts = k * np.repeat(1.0 / (n - 1), n)
+    ts[offsets + n - 1] = 1.0
+    lons = np.repeat(x1, n) + ts * np.repeat(x2 - x1, n)
+    lats = np.repeat(y1, n) + ts * np.repeat(y2 - y1, n)
+    return lons, lats, offsets
+
+
+def _runs_cross_mask(whp: WhpModel, mask: np.ndarray, x1, y1, x2, y2,
+                     step_deg: float) -> np.ndarray:
+    """Per run of :func:`_sample_runs`: does any sample land in a True
+    cell of the WHP-grid ``mask``?  One grid lookup for all samples,
+    then a segmented ``any``."""
+    if len(x1) == 0:
+        return np.zeros(0, dtype=bool)
+    grid = whp.grid
+    lons, lats, offsets = _sample_runs(x1, y1, x2, y2, step_deg)
+    rows, cols = grid.rowcol(lons, lats)
+    ok = grid.inside(rows, cols)
+    hit = np.zeros(len(rows), dtype=bool)
+    hit[ok] = mask[rows[ok], cols[ok]]
+    return np.logical_or.reduceat(hit, offsets)
 
 
 def dense_mst(d: np.ndarray) -> np.ndarray:

@@ -88,10 +88,10 @@ def distance_to_roads_deg(lons, lats, chunk: int = 512) -> np.ndarray:
     Works on chunks of points and skips, per chunk, every segment that
     provably cannot contain the minimum: a segment is dropped only when
     the separation of its bbox from the chunk's bbox exceeds an upper
-    bound on the chunk's final answer (nearest-segment distance from the
-    chunk center plus the chunk's half-diagonal, plus a safety margin
-    dwarfing float rounding).  Min is exact in floating point, so the
-    result is bit-identical to testing every segment.
+    bound on the chunk's final answer (the smallest over segments of the
+    largest chunk-corner distance, plus a safety margin dwarfing float
+    rounding).  Min is exact in floating point, so the result is
+    bit-identical to testing every segment.
     """
     lons = np.asarray(lons, dtype=float)
     lats = np.asarray(lats, dtype=float)
@@ -100,10 +100,6 @@ def distance_to_roads_deg(lons, lats, chunk: int = 512) -> np.ndarray:
     segs = np.array([(s.coords[0][0], s.coords[0][1],
                       s.coords[1][0], s.coords[1][1])
                      for s in road_segments()])
-    sx0 = np.minimum(segs[:, 0], segs[:, 2])
-    sx1 = np.maximum(segs[:, 0], segs[:, 2])
-    sy0 = np.minimum(segs[:, 1], segs[:, 3])
-    sy1 = np.maximum(segs[:, 1], segs[:, 3])
 
     # Group points into ~1-degree spatial tiles before chunking: callers
     # pass raster scan orders whose consecutive runs span the whole
@@ -115,30 +111,21 @@ def distance_to_roads_deg(lons, lats, chunk: int = 512) -> np.ndarray:
     order = np.argsort(tile_key, kind="stable")
 
     best = np.full(flat_lons.shape, np.inf)
-    for start in range(0, len(flat_lons), chunk):
+    if len(flat_lons) == 0:
+        return best.reshape(lons.shape)
+    starts = np.arange(0, len(flat_lons), chunk)
+    sorted_lons = flat_lons[order]
+    sorted_lats = flat_lats[order]
+    candidates = _chunk_candidates(sorted_lons, sorted_lats, starts, segs)
+    dx = segs[:, 2] - segs[:, 0]
+    dy = segs[:, 3] - segs[:, 1]
+    seg_len2 = np.where(dx * dx + dy * dy == 0.0, 1.0, dx * dx + dy * dy)
+
+    for i, start in enumerate(starts.tolist()):
         idx = order[start:start + chunk]
-        px = flat_lons[idx]
-        py = flat_lats[idx]
-        bx0, bx1 = px.min(), px.max()
-        by0, by1 = py.min(), py.max()
-        # Minimax bound: point-to-segment distance is convex, so its max
-        # over the chunk rectangle sits on a corner.  min over segments
-        # of that corner max bounds every point's final answer.
-        dx = segs[:, 2] - segs[:, 0]
-        dy = segs[:, 3] - segs[:, 1]
-        seg_len2 = np.where(dx * dx + dy * dy == 0.0, 1.0,
-                            dx * dx + dy * dy)
-        corner_max = np.zeros(len(segs))
-        for qx, qy in ((bx0, by0), (bx0, by1), (bx1, by0), (bx1, by1)):
-            t = np.clip(((qx - segs[:, 0]) * dx + (qy - segs[:, 1]) * dy)
-                        / seg_len2, 0.0, 1.0)
-            d = np.hypot(qx - (segs[:, 0] + t * dx),
-                         qy - (segs[:, 1] + t * dy))
-            np.maximum(corner_max, d, out=corner_max)
-        upper = float(corner_max.min()) + 1e-6
-        lower = np.hypot(np.maximum(0.0, np.maximum(sx0 - bx1, bx0 - sx1)),
-                         np.maximum(0.0, np.maximum(sy0 - by1, by0 - sy1)))
-        keep = np.nonzero(lower <= upper)[0]
+        px = sorted_lons[start:start + chunk]
+        py = sorted_lats[start:start + chunk]
+        keep = np.nonzero(candidates[i])[0]
         if len(keep) == 0:
             best[idx] = np.inf
             continue
@@ -158,6 +145,43 @@ def distance_to_roads_deg(lons, lats, chunk: int = 512) -> np.ndarray:
                      py[None, :] - (y1 + t * dyk))
         best[idx] = d.min(axis=0)
     return best.reshape(lons.shape)
+
+
+def _chunk_candidates(lons: np.ndarray, lats: np.ndarray,
+                      starts: np.ndarray, segs: np.ndarray) -> np.ndarray:
+    """``(chunks, segments)`` mask of segments a chunk must test.
+
+    Chunk ``i`` is ``lons[starts[i]:starts[i + 1]]`` (likewise lats);
+    ``segs`` rows are ``(x1, y1, x2, y2)``.  A segment is kept unless
+    the separation of its bbox from the chunk's bbox exceeds an upper
+    bound on every chunk point's minimum distance.  All chunks' bboxes,
+    bounds and separations are computed in one pass.
+    """
+    bx0 = np.minimum.reduceat(lons, starts)[:, None]
+    bx1 = np.maximum.reduceat(lons, starts)[:, None]
+    by0 = np.minimum.reduceat(lats, starts)[:, None]
+    by1 = np.maximum.reduceat(lats, starts)[:, None]
+    # Minimax bound: point-to-segment distance is convex, so its max
+    # over a chunk rectangle sits on a corner.  min over segments of
+    # that corner max bounds every point's final answer.
+    dx = segs[:, 2] - segs[:, 0]
+    dy = segs[:, 3] - segs[:, 1]
+    seg_len2 = np.where(dx * dx + dy * dy == 0.0, 1.0, dx * dx + dy * dy)
+    corner_max = np.zeros((len(starts), len(segs)))
+    for qx, qy in ((bx0, by0), (bx0, by1), (bx1, by0), (bx1, by1)):
+        t = np.clip(((qx - segs[:, 0]) * dx + (qy - segs[:, 1]) * dy)
+                    / seg_len2, 0.0, 1.0)
+        d = np.hypot(qx - (segs[:, 0] + t * dx),
+                     qy - (segs[:, 1] + t * dy))
+        np.maximum(corner_max, d, out=corner_max)
+    upper = corner_max.min(axis=1, keepdims=True) + 1e-6
+    sx0 = np.minimum(segs[:, 0], segs[:, 2])
+    sx1 = np.maximum(segs[:, 0], segs[:, 2])
+    sy0 = np.minimum(segs[:, 1], segs[:, 3])
+    sy1 = np.maximum(segs[:, 1], segs[:, 3])
+    lower = np.hypot(np.maximum(0.0, np.maximum(sx0 - bx1, bx0 - sx1)),
+                     np.maximum(0.0, np.maximum(sy0 - by1, by0 - sy1)))
+    return lower <= upper
 
 
 def _point_segment_distance_vec(px, py, x1, y1, x2, y2) -> np.ndarray:

@@ -32,6 +32,7 @@ from scipy import ndimage
 
 from ..geo.raster import GridSpec, Raster
 from .population import PopulationSurface
+from .sampling import weighted_cdf
 from .states import StateAssigner, conus_bbox
 
 __all__ = ["WHPClass", "WHP_CLASS_NAMES", "WhpModel", "build_whp",
@@ -143,6 +144,25 @@ class WhpModel:
         penalty = 1.0 / (1.0 + remoteness * (weight / max(w0, 1e-9)))
         cache[key] = hazard * penalty
         return cache[key]
+
+    def ignition_cdf(self, remoteness: float = 400.0) -> np.ndarray:
+        """CDF of the raveled :meth:`ignition_weights` (see
+        :func:`~repro.data.sampling.weighted_cdf`).
+
+        Memoized per (model, remoteness) beside the weights, so each
+        fire season pays only its ``rng.random`` draw and one
+        ``searchsorted`` instead of ``choice``'s validation and cumsum
+        over the whole grid.
+        """
+        cache = getattr(self, "_ignition_cdfs", None)
+        if cache is None:
+            cache = self._ignition_cdfs = {}
+        key = float(remoteness)
+        cdf = cache.get(key)
+        if cdf is None:
+            cdf = cache[key] = weighted_cdf(
+                self.ignition_weights(remoteness).ravel())
+        return cdf
 
 
 def build_whp(pop: PopulationSurface, seed: int = 7,
@@ -275,10 +295,14 @@ def _propensity_field(pop: PopulationSurface, grid: GridSpec,
     mix_lut = {abbr: st.wui_intermix
                for abbr, st in assigner.states.items()}
 
+    # A handful of distinct states over ~60k land cells: look each one
+    # up once and spread it with the inverse index.
+    states, which = np.unique(abbrs, return_inverse=True)
     fields = []
     for lut in (prop_lut, mix_lut):
         vals = np.zeros(plons.shape)
-        vals[pland] = np.array([lut[a] for a in abbrs])
+        vals[pland] = np.array([lut[a] for a in states.tolist()],
+                               dtype=float)[which]
         raster = Raster(pgrid, vals.reshape(pgrid.shape))
         out = raster.sample(lons, lats).astype(float)
         # WHP cells on land whose coarse parent was water: median fill.

@@ -31,6 +31,7 @@ from ..geo.geometry import BBox, Polygon
 from ..geo.projection import acres_to_sqmeters, meters_per_degree
 from .cities import city_by_name
 from .historical_stats import year_stats
+from .sampling import draw_from_cdf
 from .whp import WhpModel
 
 __all__ = ["FirePerimeter", "FireSeason", "generate_fire_season",
@@ -229,9 +230,7 @@ def generate_fire_season(year: int, whp: WhpModel, seed: int | None = None,
 
     sizes = _pareto_sizes(n_perimeter_fires, total_acres, rng)
 
-    weights = whp.ignition_weights().ravel()
-    prob = weights / weights.sum()
-    cell_ids = rng.choice(len(prob), size=n_perimeter_fires, p=prob)
+    cell_ids = draw_from_cdf(whp.ignition_cdf(), n_perimeter_fires, rng)
     rows, cols = np.unravel_index(cell_ids, whp.grid.shape)
     lons, lats = whp.grid.cell_center(rows, cols)
     half = whp.grid.res / 2.0

@@ -32,6 +32,12 @@ from .geometry import BBox, MultiPolygon, Polygon
 
 __all__ = ["UniformGridIndex", "STRTree"]
 
+#: Candidates one :meth:`UniformGridIndex.query_polygons` block
+#: materializes at most (whole polygons per block; a polygon with more
+#: candidates forms a block of its own).  A candidate costs about 100
+#: bytes of temporaries, so a block stays near 100 MB.
+_QUERY_BLOCK_ELEMENTS = 1_000_000
+
 
 class UniformGridIndex:
     """A bulk-loaded uniform grid over 2-D points.
@@ -227,25 +233,141 @@ class UniformGridIndex:
     def query_polygon(self, polygon: Polygon | MultiPolygon) -> np.ndarray:
         """Indices of points inside the polygon (exact, holes respected).
 
-        The batch point-in-polygon kernel runs directly over the CSR
-        candidate coordinates retained by the bbox filter — the original
-        point arrays are never re-gathered.
+        The one-polygon case of :meth:`query_polygons`.
         """
-        STATS.count("index.bbox_queries")
-        runs = self._candidate_runs(polygon.bbox)
+        return self.query_polygons((polygon,))[0]
+
+    def query_polygons(self, polygons: Sequence[Polygon | MultiPolygon]) \
+            -> list[np.ndarray]:
+        """Indices of points inside each polygon, in input order.
+
+        One vectorized candidate pass over the whole batch: bucket
+        windows come from one bbox array, every (polygon, row) run is
+        located by one ``searchsorted`` pair, candidates are gathered
+        from the bucket-sorted coordinates in one ranged gather and
+        bbox-filtered in one comparison, and the point-in-polygon
+        kernel runs only for polygons that keep at least one candidate.
+
+        Each result is bit-identical (values, order, dtype) to a
+        single-polygon query, and the ``index.*`` counter totals equal
+        those of one query per polygon.  Candidates are materialized in
+        blocks of whole polygons holding at most
+        :data:`_QUERY_BLOCK_ELEMENTS` candidates (a larger polygon gets
+        a block of its own), so memory stays bounded at paper scale.
+        """
+        polygons = list(polygons)
+        n = len(polygons)
+        out = [np.empty(0, dtype=np.int64) for _ in range(n)]
+        if n == 0:
+            return out
+        STATS.count("index.bbox_queries", n)
+        runs = self._batch_runs(polygons)
         if runs is None:
-            return np.empty(0, dtype=np.int64)
-        starts, ends, _ = runs
-        cand, clons, clats = self._bbox_filtered(polygon.bbox, starts,
-                                                 ends)
-        if len(cand) == 0:
-            return cand
-        keep = polygon.contains_many(clons, clats)
-        out = cand[keep]
-        STATS.count("index.polygon_queries")
-        STATS.count("index.pip_tests", len(cand))
-        STATS.count("index.pip_hits", len(out))
+            return out
+        run_poly, starts, ends, boxes = runs
+        # Per-run candidate counts summed per polygon, then split into
+        # blocks of consecutive polygons under the element budget.
+        run_len = ends - starts
+        bounds = np.flatnonzero(np.diff(run_poly)) + 1
+        first_run = np.concatenate(([0], bounds))
+        poly_cand = np.add.reduceat(run_len, first_run)
+        cum = np.cumsum(poly_cand)
+        n_bbox_hits = 0
+        n_pip = n_pip_tests = n_pip_hits = 0
+        lo = 0
+        while lo < len(first_run):
+            done = cum[lo - 1] if lo else 0
+            hi = max(int(np.searchsorted(cum, done + _QUERY_BLOCK_ELEMENTS,
+                                         side="right")), lo + 1)
+            r_hi = first_run[hi] if hi < len(first_run) else len(run_poly)
+            cand, clons, clats, cpoly = self._gather_block(
+                run_poly[first_run[lo]:r_hi], starts[first_run[lo]:r_hi],
+                ends[first_run[lo]:r_hi], boxes)
+            n_bbox_hits += len(cand)
+            if len(cand):
+                # cpoly is sorted: one slice of candidates per polygon.
+                polys, first, counts = np.unique(
+                    cpoly, return_index=True, return_counts=True)
+                for p, a, c in zip(polys.tolist(), first.tolist(),
+                                   counts.tolist()):
+                    keep = polygons[p].contains_many(clons[a:a + c],
+                                                     clats[a:a + c])
+                    out[p] = cand[a:a + c][keep]
+                    n_pip_hits += len(out[p])
+                n_pip += len(polys)
+                n_pip_tests += len(cand)
+            lo = hi
+        STATS.count("index.candidates", int(cum[-1]))
+        STATS.count("index.hits", n_bbox_hits)
+        if n_pip:
+            STATS.count("index.polygon_queries", n_pip)
+            STATS.count("index.pip_tests", n_pip_tests)
+            STATS.count("index.pip_hits", n_pip_hits)
         return out
+
+    def _batch_runs(self, polygons):
+        """``(run_poly, starts, ends, boxes)`` occupied CSR runs, or None.
+
+        The batch form of :meth:`_candidate_runs`: ``boxes`` is the
+        ``(P, 4)`` bbox array and run ``i`` is ``[starts[i], ends[i])``
+        of polygon ``run_poly[i]``, runs sorted by polygon then row.
+        Window arithmetic is :meth:`_bucket_range`'s, elementwise;
+        clamping happens in float so far-away boxes cannot overflow.
+        """
+        if self.bbox is None:
+            return None
+        boxes = np.array([(b.min_lon, b.min_lat, b.max_lon, b.max_lat)
+                          for b in (p.bbox for p in polygons)],
+                         dtype=float)
+        x0, y0, x1, y1 = boxes.T
+        ib = self.bbox
+        cell = self.cell_deg
+        c0 = np.clip((x0 - ib.min_lon) // cell, 0, self._ncols)
+        c1 = np.clip((x1 - ib.min_lon) // cell, -1, self._ncols - 1)
+        r0 = np.clip((y0 - ib.min_lat) // cell, 0, self._nrows)
+        r1 = np.clip((y1 - ib.min_lat) // cell, -1, self._nrows - 1)
+        live = np.flatnonzero(
+            ~((x0 > ib.max_lon) | (x1 < ib.min_lon)
+              | (y0 > ib.max_lat) | (y1 < ib.min_lat))
+            & (c1 >= c0) & (r1 >= r0))
+        if len(live) == 0:
+            return None
+        c0, c1, r0, r1 = (a[live].astype(np.int64)
+                          for a in (c0, c1, r0, r1))
+        nrows = r1 - r0 + 1
+        run_first = np.cumsum(nrows) - nrows
+        rows = np.repeat(r0 - run_first, nrows) \
+            + np.arange(int(nrows.sum()), dtype=np.int64)
+        # Buckets [base + c0, base + c1] of one row are consecutive keys,
+        # hence one contiguous slice of the sorted order.
+        bases = rows * self._ncols
+        lo = np.searchsorted(self._uniq_keys, bases + np.repeat(c0, nrows),
+                             side="left")
+        hi = np.searchsorted(self._uniq_keys, bases + np.repeat(c1, nrows),
+                             side="right")
+        starts = self._bucket_ptr[lo]
+        ends = self._bucket_ptr[hi]
+        occupied = starts < ends
+        if not occupied.any():
+            return None
+        run_poly = np.repeat(live, nrows)
+        return run_poly[occupied], starts[occupied], ends[occupied], boxes
+
+    def _gather_block(self, run_poly, starts, ends, boxes):
+        """``(indices, lons, lats, polygon)`` of run candidates inside
+        their polygon's bbox, in run order (one ranged gather)."""
+        run_len = ends - starts
+        pos = np.repeat(starts - (np.cumsum(run_len) - run_len), run_len) \
+            + np.arange(int(run_len.sum()), dtype=np.int64)
+        clons = self._slons[pos]
+        clats = self._slats[pos]
+        cpoly = np.repeat(run_poly, run_len)
+        box = boxes[cpoly]
+        # BBox.contains_many's comparisons, against each candidate's box.
+        keep = ((clons >= box[:, 0]) & (clons <= box[:, 2])
+                & (clats >= box[:, 1]) & (clats <= box[:, 3]))
+        return (self._order[pos[keep]], clons[keep], clats[keep],
+                cpoly[keep])
 
     def query_polygon_delta(self, polygon: Polygon | MultiPolygon,
                             prev_hits: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
+from ..data.sampling import draw_from_cdf, weighted_cdf
 from ..data.wildfires import _pareto_sizes, ring_polygons, star_rings
 from .base import EventSet, FootprintEvent, Hazard
 
@@ -37,6 +38,7 @@ class WindFieldSurface:
     def __init__(self, raster):
         self.raster = raster
         self._token: bytes | None = None
+        self._cdf: np.ndarray | None = None
 
     def classify(self, lons, lats) -> np.ndarray:
         return self.raster.sample(lons, lats, outside=np.int8(0))
@@ -48,6 +50,13 @@ class WindFieldSurface:
 
     def severe_mask(self) -> np.ndarray:
         return self.raster.data >= 3
+
+    def event_cdf(self) -> np.ndarray:
+        """Swath-center CDF, weight ∝ severity², built once per surface."""
+        if self._cdf is None:
+            self._cdf = weighted_cdf(
+                (self.raster.data.astype(float) ** 2).ravel())
+        return self._cdf
 
 
 class WindFootprintHazard(Hazard):
@@ -112,9 +121,7 @@ class WindFootprintHazard(Hazard):
         rng = np.random.default_rng(
             universe.config.seed + 65_537 + 31 * year
             + 7919 * member)
-        weights = (surface.raster.data.astype(float) ** 2).ravel()
-        prob = weights / weights.sum()
-        cell_ids = rng.choice(len(prob), size=self.n_events, p=prob)
+        cell_ids = draw_from_cdf(surface.event_cdf(), self.n_events, rng)
         r, c = np.unravel_index(cell_ids, grid.shape)
         lons, lats = grid.cell_center(r, c)
         sizes = _pareto_sizes(self.n_events, self.total_acres, rng,

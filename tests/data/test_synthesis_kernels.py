@@ -9,7 +9,14 @@ Each retired loop lives here as the oracle for its kernel:
 * ``_draw_plmns_lists`` / ``_draw_radio_types_strings`` for the cell
   categorical draws;
 * ``_population_in_bbox_numpy`` / ``_build_counties_loop`` for the
-  county tiling.
+  county tiling;
+* ``_metro_density_full_grid`` for the windowed metro and
+  wildland-front kernels of the population surface;
+* ``_chunk_candidates_loop`` for the road-distance chunk bounds;
+* ``_linspace_runs`` / ``_feeder_cut_sites_loop`` /
+  ``_lines_crossing_mask_loop`` for the segmented line sampling;
+* ``_propensity_field_listcomp`` for the WHP state lookup;
+* ``rng.choice(p=…)`` for the memoized-CDF weighted draws.
 
 Kernels must reproduce their oracle bit for bit *and* leave the random
 generator in the same state, so every later draw is unchanged too.
@@ -17,6 +24,7 @@ generator in the same state, so every later draw is unchanged too.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,16 +34,29 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from repro.data import cells as cells_mod
+from repro.data import fsim as fsim_mod
+from repro.data import population as population_mod
 from repro.data.cells import PROVIDER_GROUPS, _draw_plmns, _trim_to_total
+from repro.data.cities import conus_cities
 from repro.data.counties import (
     _VERY_DENSE_CUT,
     County,
     _named_counties,
     build_counties,
 )
+from repro.data.population import PopulationSurface, _metro_density
+from repro.data.powergrid import _sample_runs
 from repro.data.providers import MAJOR_PROVIDERS, provider_registry
 from repro.data.radios import draw_radio_types, technology_mix
+from repro.data.roads import (
+    _chunk_candidates,
+    _point_segment_distance_vec,
+    distance_to_roads_deg,
+    road_segments,
+)
+from repro.data.sampling import draw_from_cdf, weighted_cdf
 from repro.data.states import StateAssigner
+from repro.data.whp import _propensity_field
 from repro.data.wildfires import (
     _pareto_sizes,
     _star_trig,
@@ -46,6 +67,16 @@ from repro.data.wildfires import (
 )
 from repro.geo.geometry import BBox, Polygon
 from repro.geo.projection import acres_to_sqmeters, meters_per_degree
+from repro.geo.raster import GridSpec, Raster
+from repro.hazard import wind as wind_mod
+from repro.hazard.wind import WindFootprintHazard
+
+
+def assert_bits_equal(a, b):
+    """Same shape, dtype and bytes (so -0.0 != 0.0 and NaNs compare)."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
 
 # ----------------------------------------------------------------------
 # Star perimeters
@@ -450,3 +481,422 @@ def test_build_counties_matches_per_tile_loop(universe):
                               county.bbox.center.lat)
         by_tile.setdefault(int(key), []).append(i)
     assert layer._by_tile == by_tile
+
+
+# ----------------------------------------------------------------------
+# Population surface: windowed metro and wildland-front kernels
+# ----------------------------------------------------------------------
+
+
+def _metro_density_full_grid(grid, land):
+    """The retired full-grid metro and wildland-front loop."""
+    rows = np.arange(grid.height)
+    cols = np.arange(grid.width)
+    lon_axis, _ = grid.cell_center(0, cols)
+    _, lat_axis = grid.cell_center(rows, 0)
+
+    def kernel_d2(lon0, lat0):
+        du2 = ((lon_axis - lon0) * np.cos(np.radians(lat0))) ** 2
+        dv2 = (lat_axis - lat0) ** 2
+        return (du2[None, :] + dv2[:, None]).ravel()
+
+    density = np.zeros(land.shape)
+    for city in conus_cities():
+        sigma = 0.08 * (city.metro_pop / 1e5) ** 0.30
+        d2 = kernel_d2(city.lon, city.lat)
+        kernel = np.exp(-d2 / (2.0 * sigma * sigma)) * land
+        total = kernel.sum()
+        if total > 0:
+            density += city.metro_pop * kernel / total
+    for city in conus_cities():
+        front = city.wildland_front
+        if front is None:
+            continue
+        flon, flat, sigma, _boost = front
+        d2 = kernel_d2(flon, flat)
+        density *= 1.0 - 0.65 * np.exp(-d2 / (2.0 * sigma * sigma))
+    return density
+
+
+@pytest.mark.parametrize("bbox,res", [
+    (None, 0.1), (None, 0.05),
+    # Windows clipped at every edge of a small grid around Los Angeles
+    # (metro kernels and the San Gabriel front cross its borders).
+    (BBox(-119.0, 33.6, -117.4, 34.8), 0.013),
+    # No metro anywhere near: every window is empty.
+    (BBox(-160.0, 10.0, -150.0, 15.0), 0.5),
+])
+def test_metro_density_matches_full_grid_loop(universe, bbox, res):
+    grid = GridSpec(bbox or universe.population.grid.bbox, res)
+    rng = np.random.default_rng(int(res * 1000))
+    land = (rng.random(grid.height * grid.width) < 0.8).astype(float)
+    assert_bits_equal(_metro_density(grid, land),
+                      _metro_density_full_grid(grid, land))
+
+
+def test_metro_density_on_the_real_land_mask(universe):
+    pop = universe.population
+    grid = pop.grid
+    rows, cols = np.meshgrid(np.arange(grid.height),
+                             np.arange(grid.width), indexing="ij")
+    lons, lats = grid.cell_center(rows.ravel(), cols.ravel())
+    land = pop._land_mask(lons, lats)
+    assert_bits_equal(_metro_density(grid, land),
+                      _metro_density_full_grid(grid, land))
+
+
+# ----------------------------------------------------------------------
+# Road distance: per-chunk segment bounds
+# ----------------------------------------------------------------------
+
+
+def _segments():
+    return np.array([(s.coords[0][0], s.coords[0][1],
+                      s.coords[1][0], s.coords[1][1])
+                     for s in road_segments()])
+
+
+def _chunk_candidates_loop(lons, lats, starts, segs):
+    """The retired per-chunk bbox, corner bound and lower bounds."""
+    sx0 = np.minimum(segs[:, 0], segs[:, 2])
+    sx1 = np.maximum(segs[:, 0], segs[:, 2])
+    sy0 = np.minimum(segs[:, 1], segs[:, 3])
+    sy1 = np.maximum(segs[:, 1], segs[:, 3])
+    ends = list(starts[1:]) + [len(lons)]
+    out = []
+    for start, end in zip(starts, ends):
+        px = lons[start:end]
+        py = lats[start:end]
+        bx0, bx1 = px.min(), px.max()
+        by0, by1 = py.min(), py.max()
+        dx = segs[:, 2] - segs[:, 0]
+        dy = segs[:, 3] - segs[:, 1]
+        seg_len2 = np.where(dx * dx + dy * dy == 0.0, 1.0,
+                            dx * dx + dy * dy)
+        corner_max = np.zeros(len(segs))
+        for qx, qy in ((bx0, by0), (bx0, by1), (bx1, by0), (bx1, by1)):
+            t = np.clip(((qx - segs[:, 0]) * dx + (qy - segs[:, 1]) * dy)
+                        / seg_len2, 0.0, 1.0)
+            d = np.hypot(qx - (segs[:, 0] + t * dx),
+                         qy - (segs[:, 1] + t * dy))
+            np.maximum(corner_max, d, out=corner_max)
+        upper = float(corner_max.min()) + 1e-6
+        lower = np.hypot(
+            np.maximum(0.0, np.maximum(sx0 - bx1, bx0 - sx1)),
+            np.maximum(0.0, np.maximum(sy0 - by1, by0 - sy1)))
+        out.append(lower <= upper)
+    return np.array(out)
+
+
+@given(st.integers(min_value=1, max_value=3000),
+       st.sampled_from([1, 7, 64, 512, 5000]),
+       st.booleans(),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_chunk_candidates_match_per_chunk_loop(n, chunk, clustered, seed):
+    rng = np.random.default_rng(seed)
+    if clustered:
+        lons = rng.normal(-100.0, 0.3, n)
+        lats = rng.normal(38.0, 0.3, n)
+    else:
+        lons = rng.uniform(-126.0, -66.0, n)
+        lats = rng.uniform(24.0, 50.0, n)
+    segs = _segments()
+    starts = np.arange(0, n, chunk)
+    assert_bits_equal(_chunk_candidates(lons, lats, starts, segs),
+                      _chunk_candidates_loop(lons, lats, starts, segs))
+
+
+def test_chunk_candidates_keep_the_safety_margin():
+    """A segment whose bbox lies 5e-7 beyond the nearest segment's
+    distance is still tested: the bound carries a 1e-6 margin."""
+    segs = np.array([[1.0, -1.0, 1.0, 1.0],            # distance 1
+                     [-1.0, 1.0 + 5e-7, 1.0, 1.0 + 5e-7],
+                     [-1.0, 1.0 + 2e-6, 1.0, 1.0 + 2e-6]])
+    got = _chunk_candidates(np.zeros(1), np.zeros(1), np.zeros(1, int),
+                            segs)
+    np.testing.assert_array_equal(got, [[True, True, False]])
+    assert_bits_equal(got, _chunk_candidates_loop(
+        np.zeros(1), np.zeros(1), np.zeros(1, int), segs))
+
+
+@given(st.integers(min_value=0, max_value=600),
+       st.sampled_from([1, 33, 512]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_distance_to_roads_matches_every_segment(n, chunk, seed):
+    rng = np.random.default_rng(seed)
+    lons = rng.uniform(-126.0, -66.0, n)
+    lats = rng.uniform(24.0, 50.0, n)
+    best = np.full(n, np.inf)
+    for seg in road_segments():
+        (x1, y1), (x2, y2) = seg.coords
+        best = np.minimum(best, _point_segment_distance_vec(
+            lons, lats, x1, y1, x2, y2))
+    assert_bits_equal(distance_to_roads_deg(lons, lats, chunk=chunk), best)
+
+
+# ----------------------------------------------------------------------
+# Power grid: segmented line sampling
+# ----------------------------------------------------------------------
+
+
+def _linspace_runs(x1, y1, x2, y2, step_deg):
+    """The retired per-run ``np.linspace`` sampling."""
+    lons, lats, counts = [], [], []
+    for a, b, c, d in zip(x1, y1, x2, y2):
+        length = float(np.hypot(c - a, d - b))
+        n = max(2, int(length / step_deg))
+        ts = np.linspace(0.0, 1.0, n)
+        lons.append(a + ts * (c - a))
+        lats.append(b + ts * (d - b))
+        counts.append(n)
+    return (np.concatenate(lons), np.concatenate(lats),
+            np.cumsum([0] + counts[:-1]))
+
+
+@given(st.integers(min_value=1, max_value=60),
+       st.sampled_from([0.04, 0.05, 0.013, 1.0]),
+       st.floats(min_value=0.0, max_value=25.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sample_runs_match_per_run_linspace(n_runs, step, spread, seed):
+    rng = np.random.default_rng(seed)
+    x1 = rng.uniform(-125.0, -67.0, n_runs)
+    y1 = rng.uniform(25.0, 49.0, n_runs)
+    x2 = x1 + rng.uniform(-spread, spread, n_runs)
+    y2 = y1 + rng.uniform(-spread, spread, n_runs)
+    x2[::3] = x1[::3]           # zero-length runs still get 2 samples
+    y2[::3] = y1[::3]
+    lons, lats, offsets = _sample_runs(x1, y1, x2, y2, step)
+    want_lons, want_lats, want_offsets = _linspace_runs(x1, y1, x2, y2,
+                                                        step)
+    assert_bits_equal(lons, want_lons)
+    assert_bits_equal(lats, want_lats)
+    np.testing.assert_array_equal(offsets, want_offsets)
+
+
+def _lines_crossing_mask_loop(grid_, whp, mask, step_deg=0.05):
+    """The retired per-line loop."""
+    grid = whp.grid
+    hits = []
+    for i, (a, b) in enumerate(grid_.lines):
+        x1, y1 = grid_.substation_lons[a], grid_.substation_lats[a]
+        x2, y2 = grid_.substation_lons[b], grid_.substation_lats[b]
+        length = float(np.hypot(x2 - x1, y2 - y1))
+        n = max(2, int(length / step_deg))
+        ts = np.linspace(0.0, 1.0, n)
+        lons = x1 + ts * (x2 - x1)
+        lats = y1 + ts * (y2 - y1)
+        rows, cols = grid.rowcol(lons, lats)
+        ok = grid.inside(rows, cols)
+        if ok.any() and mask[rows[ok], cols[ok]].any():
+            hits.append(i)
+    return np.asarray(hits, dtype=np.int64)
+
+
+def _feeder_cut_sites_loop(grid_, cells, whp, mask, step_deg=0.04):
+    """The retired per-site loop."""
+    grid = whp.grid
+    site_ids, first = np.unique(cells.site_ids, return_index=True)
+    site_lons = cells.lons[first]
+    site_lats = cells.lats[first]
+    cut = set()
+    for sid, lon, lat in zip(site_ids.tolist(), site_lons, site_lats):
+        sub = grid_.site_substation.get(int(sid))
+        if sub is None:
+            continue
+        x2 = grid_.substation_lons[sub]
+        y2 = grid_.substation_lats[sub]
+        length = float(np.hypot(x2 - lon, y2 - lat))
+        n = max(2, int(length / step_deg))
+        ts = np.linspace(0.0, 1.0, n)
+        rows, cols = grid.rowcol(lon + ts * (x2 - lon),
+                                 lat + ts * (y2 - lat))
+        ok = grid.inside(rows, cols)
+        if mask[rows[ok], cols[ok]].any():
+            cut.add(int(sid))
+    return cut
+
+
+@pytest.mark.parametrize("which", ["at_risk", "high", "random", "none"])
+def test_power_grid_sampling_matches_retired_loops(universe, which):
+    from repro.core.power import power_grid_for
+
+    grid_ = power_grid_for(universe)
+    whp = universe.whp
+    mask = {"at_risk": whp.at_risk_mask(),
+            "high": whp.raster.data >= 4,
+            "random": np.random.default_rng(4).random(whp.grid.shape)
+            < 0.01,
+            "none": np.zeros(whp.grid.shape, dtype=bool)}[which]
+    got_lines = grid_.lines_crossing_mask(whp, mask)
+    assert got_lines.dtype == np.int64
+    np.testing.assert_array_equal(
+        got_lines, _lines_crossing_mask_loop(grid_, whp, mask))
+    # A site missing from the substation map is skipped, as before.
+    cells = universe.cells
+    partial = dataclasses.replace(
+        grid_, site_substation=dict(list(grid_.site_substation.items())
+                                    [::2]))
+    for g in (grid_, partial):
+        assert g.feeder_cut_sites(cells, whp, mask) \
+            == _feeder_cut_sites_loop(g, cells, whp, mask)
+
+
+# ----------------------------------------------------------------------
+# WHP: per-state propensity lookup
+# ----------------------------------------------------------------------
+
+
+def _propensity_field_listcomp(pop, grid, lons, lats, land):
+    """The retired per-cell list-comprehension lookup."""
+    assigner = StateAssigner()
+    pgrid = pop.grid
+    cmesh, rmesh = np.meshgrid(np.arange(pgrid.width),
+                               np.arange(pgrid.height))
+    plons, plats = pgrid.cell_center(rmesh.ravel(), cmesh.ravel())
+    pland = pop.raster.data.ravel() > 0
+    abbrs = assigner.assign_many(plons[pland], plats[pland])
+    fields = []
+    for attr in ("whp_propensity", "wui_intermix"):
+        lut = {abbr: getattr(state, attr)
+               for abbr, state in assigner.states.items()}
+        vals = np.zeros(plons.shape)
+        vals[pland] = np.array([lut[a] for a in abbrs])
+        out = Raster(pgrid, vals.reshape(pgrid.shape)).sample(
+            lons, lats).astype(float)
+        missing = land & (out <= 0.0)
+        if missing.any():
+            positive = land & (out > 0)
+            out[missing] = np.median(out[positive]) if positive.any() \
+                else 0.1
+        fields.append(out)
+    return fields[0], fields[1]
+
+
+@pytest.mark.parametrize("res", [0.1, 0.07])
+def test_propensity_field_matches_list_comprehension(universe, res):
+    pop = universe.population
+    grid = GridSpec(pop.grid.bbox, res)
+    cmesh, rmesh = np.meshgrid(np.arange(grid.width),
+                               np.arange(grid.height))
+    lons, lats = grid.cell_center(rmesh.ravel(), cmesh.ravel())
+    land = pop.raster.sample(lons, lats) > 0.0
+    got = _propensity_field(pop, grid, lons, lats, land)
+    want = _propensity_field_listcomp(pop, grid, lons, lats, land)
+    for g, w in zip(got, want):
+        assert_bits_equal(g, w)
+
+
+# ----------------------------------------------------------------------
+# Weighted draws: memoized CDF + searchsorted == rng.choice(p=...)
+# ----------------------------------------------------------------------
+
+
+def _choice(cdf_or_weights, n, rng):
+    """The retired call; ``weighted_cdf`` is patched to pass the raw
+    weights through, so this sees exactly what the old code built."""
+    w = cdf_or_weights
+    return rng.choice(len(w), size=n, p=w / w.sum())
+
+
+def _retire_cdf_helpers(monkeypatch, *modules):
+    for mod in modules:
+        monkeypatch.setattr(mod, "weighted_cdf", lambda w: w)
+        monkeypatch.setattr(mod, "draw_from_cdf", _choice)
+
+
+@given(st.lists(st.one_of(st.just(0.0),
+                          st.floats(min_value=1e-300, max_value=1e6)),
+                min_size=1, max_size=300),
+       st.integers(min_value=0, max_value=500),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_cdf_draws_match_choice(weights, n, seed):
+    w = np.array(weights)
+    if not w.sum() > 0:
+        w[0] = 1.0
+    a = np.random.default_rng(seed)
+    b = np.random.default_rng(seed)
+    got = draw_from_cdf(weighted_cdf(w), n, a)
+    want = b.choice(len(w), size=n, p=w / w.sum())
+    assert_bits_equal(got, want)
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.random() == b.random()
+
+
+class _ExactUniforms:
+    """Stands in for a generator whose uniforms hit CDF values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.values)
+        return self.values
+
+
+def test_draws_on_cdf_boundaries_skip_zero_weights():
+    """``choice`` searches with ``side="right"``: a uniform equal to a
+    CDF value moves past it, so zero-weight categories are never
+    drawn, even on exact boundaries."""
+    w = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 2.0])
+    cdf = weighted_cdf(w)
+    u = np.unique(cdf[cdf < 1.0])
+    got = draw_from_cdf(cdf, len(u), _ExactUniforms(u))
+    np.testing.assert_array_equal(got, [1, 3, 5])
+    assert (w[got] > 0).all()
+
+
+@pytest.mark.parametrize("weights", [
+    [1.0, -0.5, 2.0], [-1.0, -2.0], [1.0, np.nan], [0.0, 0.0],
+    [np.inf, 1.0], [1e308, 1e308]])
+def test_weighted_cdf_rejects_bad_weights(weights):
+    with pytest.raises(ValueError), np.errstate(over="ignore"):
+        weighted_cdf(np.array(weights))
+
+
+@pytest.mark.parametrize("exponent", [1.0, 0.85, 0.7, 0.5])
+def test_sample_points_match_choice(universe, monkeypatch, exponent):
+    pop = universe.population
+    a = np.random.default_rng(31)
+    got = [pop.sample_points(700, a, exponent=exponent) for _ in range(2)]
+    fresh = PopulationSurface.__new__(PopulationSurface)
+    fresh.__dict__.update(pop.__dict__, _sample_cdfs={})
+    _retire_cdf_helpers(monkeypatch, population_mod)
+    b = np.random.default_rng(31)
+    want = [fresh.sample_points(700, b, exponent=exponent)
+            for _ in range(2)]
+    for (glon, glat), (wlon, wlat) in zip(got, want):
+        assert_bits_equal(glon, wlon)
+        assert_bits_equal(glat, wlat)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_wind_member_matches_choice(universe, monkeypatch):
+    got = WindFootprintHazard().ensemble_member(universe, 2019, 3)
+    _retire_cdf_helpers(monkeypatch, wind_mod)
+    want = WindFootprintHazard().ensemble_member(universe, 2019, 3)
+    assert [e.name for e in got] == [e.name for e in want]
+    for g, w in zip(got, want):
+        assert_bits_equal(g.polygon.exterior, w.polygon.exterior)
+
+
+def test_fsim_ignitions_match_choice(whp, monkeypatch):
+    config = fsim_mod.FsimConfig(n_ignitions=40, max_steps=6, seed=12)
+    got = fsim_mod.run_fsim(whp, config)
+    _retire_cdf_helpers(monkeypatch, fsim_mod)
+    want = fsim_mod.run_fsim(whp, config)
+    assert_bits_equal(got.burn_counts.data, want.burn_counts.data)
+    assert got.total_cells_burned == want.total_cells_burned
+
+
+def test_ignition_cdf_is_memoized_choice_cdf(whp):
+    cdf = whp.ignition_cdf()
+    assert whp.ignition_cdf() is cdf
+    w = whp.ignition_weights().ravel()
+    p = w / w.sum()
+    want = p.cumsum()
+    want /= want[-1]
+    assert_bits_equal(cdf, want)

@@ -178,7 +178,13 @@ class TestLedgerCLI:
             self, tmp_path, monkeypatch):
         """The acceptance scenario: a 2x slowdown injected into an
         artifact build must trip the gate, while the healthy baseline
-        passes it."""
+        passes it.
+
+        Timers read a fake clock that advances one microsecond per
+        read, so every healthy timer is far below the gate's 0.05 s
+        noise floor and the healthy half cannot flake on scheduler
+        noise.  The injected slowdown advances the same clock.
+        """
         import dataclasses
         import statistics
         import time as time_mod
@@ -186,6 +192,13 @@ class TestLedgerCLI:
         from repro import session as session_mod
         from repro.obs import Ledger
 
+        clock = {"now": 0.0}
+
+        def fake_perf_counter():
+            clock["now"] += 1e-6
+            return clock["now"]
+
+        monkeypatch.setattr(time_mod, "perf_counter", fake_perf_counter)
         led = tmp_path / "led"
         for _ in range(3):
             self._record_run(led)
@@ -197,14 +210,13 @@ class TestLedgerCLI:
         spec = session_mod.get_artifact_spec("hazard")
 
         def slow_build(session, **params):
-            time_mod.sleep(max(median, 0.1))
+            clock["now"] += max(median, 0.1)
             return spec.build(session, **params)
 
-        monkeypatch.setitem(
-            session_mod._ARTIFACTS, "hazard",
-            dataclasses.replace(spec, build=slow_build))
-        self._record_run(led)
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setitem(session_mod._ARTIFACTS, "hazard",
+                          dataclasses.replace(spec, build=slow_build))
+            self._record_run(led)
 
         code, out = self._ledgered(led, "gate", "--baseline", "5")
         assert code == 1
