@@ -8,6 +8,7 @@ the speed paths must not move a bit.
 """
 
 import os
+import pickle
 import time
 
 from conftest import print_result, record_timing
@@ -357,6 +358,7 @@ def test_runtime_scenario_ensemble(universe):
     pays fork+init) must land well under it when the pool genuinely
     engaged.
     """
+    from repro.core.overlay import fire_table
     from repro.hazard import GridIgnitedFireHazard
     from repro.hazard.scenarios import ensemble_impacts
 
@@ -406,6 +408,9 @@ def test_runtime_scenario_ensemble(universe):
         cores = os.cpu_count() or 1
     fell_back = delta.get("parallel.fallbacks", 0) > 0
     speedup = serial_s / max(wall_s, 1e-9)
+    # What one member task pickles to (its packed ring table).
+    task_bytes = sum(len(pickle.dumps(fire_table(events)))
+                     for events in member_events) / n_members
     record_timing(
         "scenario_ensemble",
         hazard=hazard.name, members=n_members,
@@ -413,13 +418,15 @@ def test_runtime_scenario_ensemble(universe):
         n_points=len(cells), workers=workers,
         eff_workers=eff_workers, cores=cores, fell_back=fell_back,
         serial_s=serial_s, wall_s=wall_s, speedup=speedup,
+        task_bytes_per_member=task_bytes,
         mean_impacted=sum(pooled_impacts) / n_members)
     print_result(
         "RUNTIME — scenario ensemble",
         f"{n_members} members x {hazard.n_events} events: serial sum "
         f"{serial_s:.3f}s vs pooled wall {wall_s:.3f}s "
         f"(x{workers}->{eff_workers}, {cores} cores) -> "
-        f"{speedup:.1f}x{' [FELL BACK]' if fell_back else ''}")
+        f"{speedup:.1f}x{' [FELL BACK]' if fell_back else ''}, "
+        f"{task_bytes / 1e3:.0f} KB per member task")
     if eff_workers >= 2 and cores >= 2 and not fell_back:
         # Members must genuinely parallelize; on a single-core box
         # (or after a pool fallback) only the bit-equality above is

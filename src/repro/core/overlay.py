@@ -25,8 +25,10 @@ Execution is delegated to :mod:`repro.runtime`:
   persistent worker pool (:mod:`repro.runtime.pool`).  Workers hold the
   full point universe and build the grid index **once**, on first use,
   then reuse it for every fire of every season of a 19-year sweep; a
-  task ships only a slice of the fire list and returns per-fire counts
-  plus global hit indices;
+  task ships one fire list packed as a :class:`~repro.geo.rings.RingTable`
+  (a few flat arrays, never event or polygon objects) and returns
+  per-fire counts plus global hit indices.  :func:`join_fire_lists` is
+  that task API; scenario ensembles call it with one list per member;
 * results are memoized in a content-addressed cache keyed by the
   inputs' bytes.
 
@@ -41,14 +43,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-from weakref import WeakKeyDictionary
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..data.cells import CellUniverse
 from ..data.packed import unpack_index
 from ..geo.index import UniformGridIndex
+from ..geo.rings import RingTable
 from ..runtime import (
     cache_key,
     chunk_spans,
@@ -70,7 +72,8 @@ if TYPE_CHECKING:
 
 __all__ = ["FireOverlayResult", "FireDelta", "overlay_fires",
            "overlay_fires_bruteforce", "update_overlay", "empty_overlay",
-           "classify_cells", "fires_token"]
+           "classify_cells", "fires_token", "fire_table",
+           "join_fire_lists"]
 
 #: Default grid-index bucket size, matching :meth:`CellUniverse.index`.
 _INDEX_CELL_DEG = 0.25
@@ -121,35 +124,31 @@ class FireDelta:
     fire: HazardEvent
 
 
-# Per-event content digests, memoized for the life of the event
-# object.  Keyed weakly so discarded seasons do not pin their digests;
-# event dataclasses are frozen, so content cannot drift under the memo.
-_FIRE_TOKENS: WeakKeyDictionary = WeakKeyDictionary()
+def fire_table(fires: Sequence[HazardEvent]) -> RingTable:
+    """The perimeters of a fire list, packed into one ring table."""
+    return RingTable.of([fire.polygon for fire in fires])
 
 
-def _fire_token(fire: HazardEvent) -> bytes:
-    token = _FIRE_TOKENS.get(fire)
-    if token is None:
-        h = hashlib.sha256()
-        h.update(fire.name.encode())
-        h.update(str(fire.year).encode())
-        h.update(fire.polygon.exterior.tobytes())
-        for hole in fire.polygon.holes:
-            h.update(hole.tobytes())
-        token = h.digest()
-        _FIRE_TOKENS[fire] = token
-    return token
-
-
-def fires_token(fires: list[HazardEvent]) -> bytes:
+def fires_token(fires: Sequence[HazardEvent],
+                table: RingTable | None = None) -> bytes:
     """Content digest of a fire list (names, years, ring bytes).
 
-    Per-fire digests are memoized, so the 19-year historical sweep stops
-    re-hashing megabytes of ring coordinates on every overlay call.
+    One SHA-256 pass over the list's packed ring table plus its joined
+    names and years.  ``table`` is ``fire_table(fires)`` when the caller
+    already built it.
     """
+    if table is None:
+        table = fire_table(fires)
+    names = [fire.name.encode() for fire in fires]
     h = hashlib.sha256()
-    for fire in fires:
-        h.update(_fire_token(fire))
+    for arr in (np.array([len(fires), len(table.ring_part),
+                          len(table.coords)], dtype=np.int64),
+                np.array([fire.year for fire in fires], dtype=np.int64),
+                np.array([len(n) for n in names], dtype=np.int64),
+                table.ring_ptr, table.ring_poly, table.ring_part,
+                table.ring_hole, table.coords):
+        h.update(np.ascontiguousarray(arr).data)
+    h.update(b"".join(names))
     return h.digest()
 
 
@@ -227,16 +226,15 @@ def _shared_handle(cells: CellUniverse):
     return _shm.share_arrays(pack.token, pack.arrays)
 
 
-def _overlay_fires_task(fires: list[HazardEvent]):
-    """Join a slice of the fire list against the worker-resident index.
+def _join_task(table: RingTable):
+    """Join one packed fire list against the worker-resident index.
 
-    Returns per-fire hit counts (slice order), the concatenated global
-    hit indices, and the worker's stats delta.
+    Returns per-fire hit counts, the concatenated global hit indices,
+    and the worker's stats delta.
     """
     before = STATS.snapshot()
-    with trace_span("overlay.chunk", n_fires=len(fires)) as sp:
-        hit_chunks = _worker_index().query_polygons(
-            [fire.polygon for fire in fires])
+    with trace_span("overlay.chunk", n_fires=len(table)) as sp:
+        hit_chunks = _worker_index().query_polygons(table)
         counts = np.array([len(h) for h in hit_chunks], dtype=np.int64)
         hits = np.concatenate(hit_chunks) if hit_chunks \
             else np.empty(0, dtype=np.int64)
@@ -244,30 +242,36 @@ def _overlay_fires_task(fires: list[HazardEvent]):
     return counts, hits, STATS.delta_since(before)
 
 
-def _delta_overlay_task(items: list):
-    """Delta-join a slice of ``(fire, prev_hits)`` pairs.
+def _delta_overlay_task(task: tuple):
+    """Delta-join a slice of fronts: ``(table, prev_hits list)``.
 
-    Same shape as :func:`_overlay_fires_task` — per-fire hit counts in
-    slice order, concatenated global hit indices, worker stats delta —
-    but each fire with an answered footprint runs the dirty-bucket
-    delta query instead of the full polygon query.
+    Same shape as :func:`_join_task`, but each front with an answered
+    footprint runs the dirty-bucket delta query instead of the full
+    polygon query.
     """
+    table, prev = task
     before = STATS.snapshot()
-    with trace_span("overlay.delta_chunk", n_deltas=len(items)) as sp:
+    with trace_span("overlay.delta_chunk", n_deltas=len(prev)) as sp:
         index = _worker_index()
-        counts = np.zeros(len(items), dtype=np.int64)
+        counts = np.zeros(len(prev), dtype=np.int64)
         hit_chunks = []
-        for i, (fire, prev_hits) in enumerate(items):
+        for i, prev_hits in enumerate(prev):
+            polygon = table.polygon(i)
             if prev_hits is None:
-                hits = index.query_polygon(fire.polygon)
+                hits = index.query_polygon(polygon)
             else:
-                hits = index.query_polygon_delta(fire.polygon, prev_hits)
+                hits = index.query_polygon_delta(polygon, prev_hits)
             counts[i] = len(hits)
             hit_chunks.append(hits)
         hits = np.concatenate(hit_chunks) if hit_chunks \
             else np.empty(0, dtype=np.int64)
         sp.set(hits=int(counts.sum()))
     return counts, hits, STATS.delta_since(before)
+
+
+def _split_hits(counts: np.ndarray, hits: np.ndarray) -> list[np.ndarray]:
+    """Per-fire pieces of a task's concatenated hits."""
+    return np.split(hits, np.cumsum(counts)[:-1]) if len(counts) else []
 
 
 def _init_classify_worker(lons, lats, whp) -> None:
@@ -326,12 +330,13 @@ def overlay_fires(cells: CellUniverse, fires: list[HazardEvent],
     resolved_year = year if year is not None else (
         fires[0].year if fires else 0)
 
+    table = fire_table(fires)
     key = None
     if use_cache:
-        version = b"overlay_fires/v2+hits" if keep_hits \
-            else b"overlay_fires/v1"
+        version = b"overlay_fires/v4+hits" if keep_hits \
+            else b"overlay_fires/v3"
         key = cache_key(version, cells.content_token(),
-                        fires_token(fires), resolved_year)
+                        fires_token(fires, table), resolved_year)
         entry = get_cache().get(key)
         if entry is not None:
             return _decode_overlay(entry)
@@ -343,21 +348,20 @@ def overlay_fires(cells: CellUniverse, fires: list[HazardEvent],
                                           len(fires))
             sp.set(workers=eff_workers)
             if eff_workers > 1:
-                result = _overlay_parallel(cells, fires, resolved_year,
-                                           eff_workers, keep_hits)
+                fire_hits = _overlay_parallel(cells, fires, eff_workers)
             else:
-                result = _overlay_serial(cells, fires, resolved_year,
-                                         keep_hits)
+                fire_hits = cells.index().query_polygons(table)
+            result = _overlay_result(cells, fires, resolved_year,
+                                     fire_hits, keep_hits)
 
     if use_cache and key is not None:
         get_cache().put(key, _encode_overlay(result))
     return result
 
 
-def _overlay_serial(cells: CellUniverse, fires: list[HazardEvent],
-                    year: int, keep_hits: bool = False) \
-        -> FireOverlayResult:
-    fire_hits = cells.index().query_polygons([f.polygon for f in fires])
+def _overlay_result(cells: CellUniverse, fires: list[HazardEvent],
+                    year: int, fire_hits: list[np.ndarray],
+                    keep_hits: bool) -> FireOverlayResult:
     mask = np.zeros(len(cells), dtype=bool)
     if fire_hits:
         mask[np.concatenate(fire_hits)] = True
@@ -372,9 +376,8 @@ def _overlay_serial(cells: CellUniverse, fires: list[HazardEvent],
 
 
 def _overlay_parallel(cells: CellUniverse, fires: list[HazardEvent],
-                      year: int, workers: int,
-                      keep_hits: bool = False) -> FireOverlayResult:
-    """Fire-sharded parallel overlay on the persistent universe pool.
+                      workers: int) -> list[np.ndarray]:
+    """Per-fire hits of a fire-sharded join on the universe pool.
 
     Each task is a contiguous slice of the fire list; each fire is
     evaluated by exactly one worker against the same full-universe index
@@ -384,32 +387,37 @@ def _overlay_parallel(cells: CellUniverse, fires: list[HazardEvent],
     slice_size = max(1, -(-len(fires) //
                           (workers * _FIRE_SLICES_PER_WORKER)))
     spans = chunk_spans(len(fires), slice_size)
-    tasks = [fires[lo:hi] for lo, hi in spans]
-    initializer, initargs = _overlay_pool_init(cells)
-    results = run_tasks(
-        "overlay", workers, cells.content_token(),
-        _overlay_fires_task, tasks,
-        initializer=initializer, initargs=initargs)
-    if results is None:
-        return _overlay_serial(cells, fires, year, keep_hits)
+    slices = join_fire_lists(cells, [fires[lo:hi] for lo, hi in spans],
+                             workers=workers)
+    return [hits for piece in slices for hits in piece]
 
-    mask = np.zeros(len(cells), dtype=bool)
-    counts = np.concatenate([r[0] for r in results]) if results \
-        else np.empty(0, dtype=np.int64)
-    pieces: list[np.ndarray] = []
-    for slice_counts, hits, delta in results:
-        mask[hits] = True
-        STATS.merge(delta)
-        if keep_hits:
-            pieces.extend(np.split(hits,
-                                   np.cumsum(slice_counts)[:-1]))
-    per_fire = {fire.name: int(counts[i]) for i, fire in enumerate(fires)}
-    hits_map = {fire.name: pieces[i] for i, fire in enumerate(fires)} \
-        if keep_hits else None
-    return FireOverlayResult(year=year, n_fires=len(fires),
-                             in_perimeter_mask=mask,
-                             per_fire_counts=per_fire,
-                             per_fire_hits=hits_map)
+
+def join_fire_lists(cells: CellUniverse,
+                    fire_lists: Sequence[Sequence[HazardEvent]], *,
+                    workers: int) -> list[list[np.ndarray]]:
+    """Per-fire hit indices of every fire list, in list and fire order.
+
+    The task API of the perimeter join.  With ``workers > 1`` each
+    list becomes one pool task on the persistent universe pool; a task
+    carries the list's perimeters as a :class:`RingTable`, never the
+    event objects.  ``workers`` is taken as given (callers size it with
+    the dispatcher); ``workers <= 1``, or a pool that cannot run, joins
+    every list serially with the same index query, bit-identically.
+    """
+    tables = [fire_table(fires) for fires in fire_lists]
+    if workers > 1:
+        initializer, initargs = _overlay_pool_init(cells)
+        results = run_tasks(
+            "overlay", workers, cells.content_token(), _join_task,
+            tables, initializer=initializer, initargs=initargs)
+        if results is not None:
+            out = []
+            for counts, hits, delta in results:
+                STATS.merge(delta)
+                out.append(_split_hits(counts, hits))
+            return out
+    index = cells.index()
+    return [index.query_polygons(table) for table in tables]
 
 
 def _overlay_pool_init(cells: CellUniverse):
@@ -513,14 +521,16 @@ def _update_parallel(cells: CellUniverse, items: list,
     """Delta-sharded parallel tick on the persistent universe pool.
 
     Reuses the warm ``overlay`` pool (same name, same universe token)
-    so a tick after a batch overlay ships only its delta slices; the
-    pool-failure fallback returns ``None`` and the caller runs the
+    so a tick after a batch overlay ships only its delta slices, each
+    a ring table of the grown fronts plus their answered footprints;
+    the pool-failure fallback returns ``None`` and the caller runs the
     identical queries serially.
     """
     slice_size = max(1, -(-len(items) //
                           (workers * _FIRE_SLICES_PER_WORKER)))
     spans = chunk_spans(len(items), slice_size)
-    tasks = [items[lo:hi] for lo, hi in spans]
+    tasks = [(fire_table([fire for fire, _ in items[lo:hi]]),
+              [prev for _, prev in items[lo:hi]]) for lo, hi in spans]
     initializer, initargs = _overlay_pool_init(cells)
     results = run_tasks(
         "overlay", workers, cells.content_token(),
@@ -531,7 +541,7 @@ def _update_parallel(cells: CellUniverse, items: list,
     out: list[np.ndarray] = []
     for counts, hits, delta in results:
         STATS.merge(delta)
-        out.extend(np.split(hits, np.cumsum(counts)[:-1]))
+        out.extend(_split_hits(counts, hits))
     return out
 
 
@@ -648,8 +658,8 @@ def _season_overlay_artifact(session, year: int = 2019,
         -> FireOverlayResult:
     from ..hazard.registry import get_hazard
     universe = session.universe
-    # For "wildfire" the event list is the season's own fires list
-    # object, keeping the per-fire digest memo and cache keys intact.
+    # For "wildfire" the event list is the season's own fires list,
+    # so its cache key is the pre-protocol one.
     events = get_hazard(hazard).event_set(universe, year).events
     return overlay_fires(universe.cells, events, year=year)
 

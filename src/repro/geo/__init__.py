@@ -26,6 +26,7 @@ from .geometry import (
     simplify_ring,
 )
 from .index import STRTree, UniformGridIndex
+from .rings import RingTable
 from .predicates import (
     PreparedRing,
     is_ccw,
@@ -54,7 +55,7 @@ __all__ = [
     "BBox", "LineString", "MultiPolygon", "Point", "Polygon",
     "PreparedPolygon", "PreparedRing", "prepare_ring",
     "simplify_ring",
-    "STRTree", "UniformGridIndex",
+    "STRTree", "UniformGridIndex", "RingTable",
     "GridSpec", "Raster", "disk_footprint", "rasterize_polygon",
     "buffer_point", "buffer_polygon",
     "point_in_ring", "points_in_ring", "ring_area_signed",

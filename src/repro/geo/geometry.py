@@ -145,6 +145,12 @@ class LineString:
         return best
 
 
+def _frozen_ring(ring) -> np.ndarray:
+    arr = np.ascontiguousarray(ring, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 class Polygon:
     """A polygon with an exterior ring and optional interior rings (holes).
 
@@ -160,24 +166,26 @@ class Polygon:
         self._prepared: PreparedPolygon | None = None
 
     @classmethod
-    def from_ccw_ring(cls, exterior, bbox: BBox | None = None) \
-            -> "Polygon":
-        """Trusted fast constructor: an open CCW exterior, no holes.
+    def from_ccw_ring(cls, exterior, bbox: BBox | None = None,
+                      holes: Iterable = ()) -> "Polygon":
+        """Trusted fast constructor: an open CCW exterior (and CW holes).
 
         Skips ring validation and winding normalization, so the caller
-        must guarantee an (N>=3, 2) float ring that is counter-clockwise
-        and has no duplicated closing vertex.  Produces a polygon
-        bit-identical to ``Polygon(exterior)`` for such input; generators
-        that emit thousands of perimeters (see
+        must guarantee (N>=3, 2) float rings, the exterior
+        counter-clockwise and the holes clockwise, with no duplicated
+        closing vertex.  Produces a polygon bit-identical to
+        ``Polygon(exterior, holes)`` for such input; generators that
+        emit thousands of perimeters (see
         :func:`repro.data.wildfires.star_rings`) use it to stay off
         the per-ring shoelace/closure checks, and may pass the ring's
         exact min/max ``bbox`` when they computed it in a batch.
+        :meth:`repro.geo.rings.RingTable.polygon` rebuilds packed
+        polygons through it.
         """
         poly = cls.__new__(cls)
-        arr = np.ascontiguousarray(exterior, dtype=float)
-        arr.setflags(write=False)
+        arr = _frozen_ring(exterior)
         poly.exterior = arr
-        poly.holes = ()
+        poly.holes = tuple(_frozen_ring(h) for h in holes) if holes else ()
         poly._bbox = bbox if bbox is not None \
             else BBox.of_coords(arr[:, 0], arr[:, 1])
         poly._prepared = None
@@ -188,9 +196,7 @@ class Polygon:
         arr = _validated_ring(ring)
         if is_ccw(arr) != ccw:
             arr = arr[::-1]
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        return arr
+        return _frozen_ring(arr)
 
     def __repr__(self) -> str:
         return (f"Polygon({len(self.exterior)} vertices, "

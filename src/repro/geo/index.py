@@ -29,6 +29,7 @@ import numpy as np
 
 from ..runtime.stats import STATS
 from .geometry import BBox, MultiPolygon, Polygon
+from .rings import RingTable
 
 __all__ = ["UniformGridIndex", "STRTree"]
 
@@ -237,16 +238,20 @@ class UniformGridIndex:
         """
         return self.query_polygons((polygon,))[0]
 
-    def query_polygons(self, polygons: Sequence[Polygon | MultiPolygon]) \
+    def query_polygons(self, polygons: RingTable
+                       | Sequence[Polygon | MultiPolygon]) \
             -> list[np.ndarray]:
         """Indices of points inside each polygon, in input order.
 
-        One vectorized candidate pass over the whole batch: bucket
-        windows come from one bbox array, every (polygon, row) run is
-        located by one ``searchsorted`` pair, candidates are gathered
-        from the bucket-sorted coordinates in one ranged gather and
-        bbox-filtered in one comparison, and the point-in-polygon
-        kernel runs only for polygons that keep at least one candidate.
+        ``polygons`` is a :class:`~repro.geo.rings.RingTable` or a
+        sequence of polygons (packed into one here).  One vectorized
+        candidate pass covers the whole batch: bucket windows come from
+        the table's bbox array, every (polygon, row) run is located by
+        one ``searchsorted`` pair, candidates are gathered from the
+        bucket-sorted coordinates in one ranged gather and
+        bbox-filtered in one comparison, and the surviving candidates
+        of every polygon go through one batched crossing-number pass
+        (:meth:`RingTable.contains`).
 
         Each result is bit-identical (values, order, dtype) to a
         single-polygon query, and the ``index.*`` counter totals equal
@@ -255,16 +260,18 @@ class UniformGridIndex:
         :data:`_QUERY_BLOCK_ELEMENTS` candidates (a larger polygon gets
         a block of its own), so memory stays bounded at paper scale.
         """
-        polygons = list(polygons)
-        n = len(polygons)
-        out = [np.empty(0, dtype=np.int64) for _ in range(n)]
+        table = polygons if isinstance(polygons, RingTable) \
+            else RingTable.of(polygons)
+        n = len(table)
+        none = np.empty(0, dtype=np.int64)
+        out = [none] * n
         if n == 0:
             return out
         STATS.count("index.bbox_queries", n)
-        runs = self._batch_runs(polygons)
+        runs = self._batch_runs(table.bboxes)
         if runs is None:
             return out
-        run_poly, starts, ends, boxes = runs
+        run_poly, starts, ends = runs
         # Per-run candidate counts summed per polygon, then split into
         # blocks of consecutive polygons under the element budget.
         run_len = ends - starts
@@ -273,7 +280,7 @@ class UniformGridIndex:
         poly_cand = np.add.reduceat(run_len, first_run)
         cum = np.cumsum(poly_cand)
         n_bbox_hits = 0
-        n_pip = n_pip_tests = n_pip_hits = 0
+        n_pip = n_pip_hits = 0
         lo = 0
         while lo < len(first_run):
             done = cum[lo - 1] if lo else 0
@@ -282,43 +289,42 @@ class UniformGridIndex:
             r_hi = first_run[hi] if hi < len(first_run) else len(run_poly)
             cand, clons, clats, cpoly = self._gather_block(
                 run_poly[first_run[lo]:r_hi], starts[first_run[lo]:r_hi],
-                ends[first_run[lo]:r_hi], boxes)
+                ends[first_run[lo]:r_hi], table.bboxes)
             n_bbox_hits += len(cand)
             if len(cand):
-                # cpoly is sorted: one slice of candidates per polygon.
-                polys, first, counts = np.unique(
-                    cpoly, return_index=True, return_counts=True)
-                for p, a, c in zip(polys.tolist(), first.tolist(),
-                                   counts.tolist()):
-                    keep = polygons[p].contains_many(clons[a:a + c],
-                                                     clats[a:a + c])
-                    out[p] = cand[a:a + c][keep]
-                    n_pip_hits += len(out[p])
+                inside = table.contains(cpoly, clons, clats)
+                hits = cand[inside]
+                hit_poly = cpoly[inside]
+                # cpoly is sorted: one slice of hits per polygon.
+                polys = cpoly[np.concatenate(
+                    ([0], np.flatnonzero(np.diff(cpoly)) + 1))]
+                first = np.searchsorted(hit_poly, polys, side="left")
+                last = np.searchsorted(hit_poly, polys, side="right")
+                for p, a, b in zip(polys.tolist(), first.tolist(),
+                                   last.tolist()):
+                    out[p] = hits[a:b]
                 n_pip += len(polys)
-                n_pip_tests += len(cand)
+                n_pip_hits += len(hits)
             lo = hi
         STATS.count("index.candidates", int(cum[-1]))
         STATS.count("index.hits", n_bbox_hits)
         if n_pip:
             STATS.count("index.polygon_queries", n_pip)
-            STATS.count("index.pip_tests", n_pip_tests)
+            STATS.count("index.pip_tests", n_bbox_hits)
             STATS.count("index.pip_hits", n_pip_hits)
         return out
 
-    def _batch_runs(self, polygons):
-        """``(run_poly, starts, ends, boxes)`` occupied CSR runs, or None.
+    def _batch_runs(self, boxes: np.ndarray):
+        """``(run_poly, starts, ends)`` occupied CSR runs, or None.
 
-        The batch form of :meth:`_candidate_runs`: ``boxes`` is the
-        ``(P, 4)`` bbox array and run ``i`` is ``[starts[i], ends[i])``
-        of polygon ``run_poly[i]``, runs sorted by polygon then row.
-        Window arithmetic is :meth:`_bucket_range`'s, elementwise;
-        clamping happens in float so far-away boxes cannot overflow.
+        The batch form of :meth:`_candidate_runs` over a ``(P, 4)``
+        bbox array: run ``i`` is ``[starts[i], ends[i])`` of polygon
+        ``run_poly[i]``, runs sorted by polygon then row.  Window
+        arithmetic is :meth:`_bucket_range`'s, elementwise; clamping
+        happens in float so far-away boxes cannot overflow.
         """
         if self.bbox is None:
             return None
-        boxes = np.array([(b.min_lon, b.min_lat, b.max_lon, b.max_lat)
-                          for b in (p.bbox for p in polygons)],
-                         dtype=float)
         x0, y0, x1, y1 = boxes.T
         ib = self.bbox
         cell = self.cell_deg
@@ -351,7 +357,7 @@ class UniformGridIndex:
         if not occupied.any():
             return None
         run_poly = np.repeat(live, nrows)
-        return run_poly[occupied], starts[occupied], ends[occupied], boxes
+        return run_poly[occupied], starts[occupied], ends[occupied]
 
     def _gather_block(self, run_poly, starts, ends, boxes):
         """``(indices, lons, lats, polygon)`` of run candidates inside

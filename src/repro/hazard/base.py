@@ -99,9 +99,9 @@ class EventSet:
     """One season's worth of a hazard's events.
 
     For the wildfire instance ``events`` *is* the season's fire list
-    (the same list object ``universe.fire_season(year)`` holds), so the
-    per-fire digest memo and every downstream cache key are untouched
-    by the protocol indirection.
+    (the same list object ``universe.fire_season(year)`` holds), so
+    every downstream cache key is untouched by the protocol
+    indirection.
     """
 
     year: int

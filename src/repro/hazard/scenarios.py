@@ -5,10 +5,13 @@ variant (possibly compound: extra hazards' events ride along in every
 member), a season year, and an ensemble size.  Running one draws N
 independent members (:meth:`Hazard.ensemble_member`), joins each
 member's event list against the transceiver universe, and summarizes
-the impact distribution.  The ensemble fans out through the *existing*
-pool/shm machinery: each member is exactly the fire-slice task shape
-the batch overlay ships to workers, so members run concurrently on the
-persistent universe pool with zero new worker code.
+the impact distribution.  The ensemble fans out through the overlay's
+task API (:func:`repro.core.overlay.join_fire_lists`), the same one the
+batch overlay ships its fire slices through: each member is one pool
+task carrying its perimeters as a packed
+:class:`~repro.geo.rings.RingTable` (flat coordinate and offset
+arrays, never event or polygon objects), so members run concurrently
+on the persistent universe pool.
 
 Scenarios are session artifacts (``session.artifact("scenario",
 scenario=..., members=...)``) and a CLI stage (``repro scenario
@@ -162,37 +165,26 @@ def ensemble_impacts(universe, member_events: list[list], year: int, *,
                      workers: int | None = None) -> list[int]:
     """Unique-transceiver impact count per member event list.
 
-    Members dispatch as whole tasks through the persistent universe
-    pool — the exact task shape (a fire list in, per-fire counts plus
-    global hit indices out) the batch overlay shards by fire slices —
-    so an N-member ensemble costs one warm pool round-trip.  The pool
-    never outnumbers the members or the CPU budget.  Pool failure falls
-    back to the serial joins, bit-identically.
+    Members go through the overlay's task API
+    (:func:`repro.core.overlay.join_fire_lists`) as one task each: a
+    member ships as a packed ring table of its perimeters, so an
+    N-member ensemble costs one warm pool round-trip of a few flat
+    arrays per member.  The pool never outnumbers the members or the
+    CPU budget.  Pool failure falls back to the serial joins,
+    bit-identically.  ``year`` names the members' season; the join
+    itself does not depend on it.
     """
-    from ..core import overlay as ov
-    from ..runtime import dispatch, get_config, run_tasks
+    from ..core.overlay import join_fire_lists
+    from ..runtime import dispatch, get_config
 
-    cells = universe.cells
     if workers is None:
         workers = get_config().workers
     eff_workers = max(1, min(workers, len(member_events),
                              dispatch.cpu_budget()))
-
-    results = None
-    if eff_workers > 1:
-        initializer, initargs = ov._overlay_pool_init(cells)
-        results = run_tasks(
-            "overlay", eff_workers, cells.content_token(),
-            ov._overlay_fires_task, member_events,
-            initializer=initializer, initargs=initargs)
-    if results is not None:
-        impacts = []
-        for _, hits, delta in results:
-            STATS.merge(delta)
-            impacts.append(int(np.unique(hits).size))
-        return impacts
-    return [ov._overlay_serial(cells, events, year).n_in_perimeter
-            for events in member_events]
+    member_hits = join_fire_lists(universe.cells, member_events,
+                                  workers=eff_workers)
+    return [int(np.unique(np.concatenate(hits)).size) if hits else 0
+            for hits in member_hits]
 
 
 def run_scenario(universe, name: str, *, members: int | None = None,

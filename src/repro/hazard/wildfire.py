@@ -46,8 +46,8 @@ class WildfireHazard(Hazard):
         year = self.default_year if year is None else year
         if self.acreage_multiplier == 1.0:
             season = universe.fire_season(year)
-            # The season's own list object: fires_token's per-fire digest
-            # memo and every overlay cache key stay byte-identical.
+            # The season's own fire list: every overlay cache key stays
+            # byte-identical.
             return EventSet(year=season.year, events=season.fires)
         total = year_stats(year).acres_burned * 1e6 \
             * self.acreage_multiplier

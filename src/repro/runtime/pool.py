@@ -16,9 +16,16 @@ worker *ever*, not once per chunk per call.
 
 A small LRU bounds resident pools; pools are terminated at eviction and
 at interpreter exit.  Any failure — no ``fork``, sandboxed
-``multiprocessing``, unpicklable tasks, a worker crash — discards the
-pool and reports ``None`` so the caller can fall back to the serial
+``multiprocessing``, unpicklable tasks, a worker that dies mid-map — discards
+the pool and reports ``None`` so the caller can fall back to the serial
 path; correctness never depends on a pool existing.
+
+A worker that dies while it holds a task (``os._exit``, a signal, a
+task that cannot be unpickled in the worker) takes the task with it:
+``multiprocessing.Pool`` replaces the process but never fails the map,
+so a plain ``pool.map`` would wait forever.  :func:`run_tasks` waits on
+the map in short slices and checks the workers it started with between
+them.
 """
 
 from __future__ import annotations
@@ -45,11 +52,21 @@ MAX_POOLS = 4
 #: creates fresh pools instead of reusing ones started the other way.
 START_METHOD_OVERRIDE: str | None = None
 
+#: Seconds between liveness checks of a pool's workers during a map.
+#: A map that finishes returns at once; this only bounds how long a
+#: dead worker goes unnoticed.
+LIVENESS_POLL_S = 0.05
+
+
+class WorkerLostError(RuntimeError):
+    """A pool worker exited while a map was in flight."""
+
+
 #: Errors that mean "the pool path is unavailable", not "the task is
 #: wrong".  Anything else propagates — a bug in a chunk function must
 #: not be silently retried serially.
 _POOL_ERRORS = (OSError, ValueError, PicklingError, AttributeError,
-                ImportError, EOFError, BrokenPipeError)
+                ImportError, EOFError, BrokenPipeError, WorkerLostError)
 
 _pools: OrderedDict[tuple, multiprocessing.pool.Pool] = OrderedDict()
 
@@ -106,15 +123,29 @@ def discard_pool(name: str, workers: int, token: bytes) -> None:
         _terminate(pool)
 
 
+def _watched_map(pool, fn: Callable, tasks: list) -> list:
+    """``pool.map`` that raises :class:`WorkerLostError` when one of the
+    pool's workers exits before the map completes."""
+    # Pool keeps its worker processes in ``_pool``; a dead one is
+    # replaced there, so hold on to the processes the map started with.
+    workers = list(pool._pool)
+    pending = pool.map_async(fn, tasks)
+    while not pending.ready():
+        if any(w.exitcode is not None for w in workers):
+            raise WorkerLostError("a pool worker exited during a map")
+        pending.wait(LIVENESS_POLL_S)
+    return pending.get()
+
+
 def run_tasks(name: str, workers: int, token: bytes, fn: Callable,
               tasks: Sequence, initializer: Callable | None = None,
               initargs: tuple = ()) -> list | None:
     """Map ``fn`` over ``tasks`` on the persistent pool.
 
     Returns the results in task order, or ``None`` when the pool path is
-    unavailable (creation or transport failure) — the caller then runs
-    its serial path.  A pool that failed mid-map is discarded so the
-    next call starts fresh.
+    unavailable (creation or transport failure, or a worker that died
+    mid-map) — the caller then runs its serial path.  A pool that failed
+    mid-map is discarded so the next call starts fresh.
     """
     tasks = list(tasks)
     if not tasks:
@@ -128,7 +159,7 @@ def run_tasks(name: str, workers: int, token: bytes, fn: Callable,
     try:
         with trace_span("pool.map", pool=name, workers=workers,
                         tasks=len(tasks)):
-            results = pool.map(fn, tasks)
+            results = _watched_map(pool, fn, tasks)
     except _POOL_ERRORS:
         discard_pool(name, workers, token)
         STATS.count("parallel.fallbacks")

@@ -92,3 +92,83 @@ class TestClassify:
     def test_classify_dtype(self, universe):
         classes = classify_cells(universe.cells, universe.whp)
         assert classes.dtype == np.int8
+
+
+class TestTaskPayloads:
+    """Pool tasks carry packed ring tables, never event or polygon
+    objects.  ``run_tasks`` is replaced by a recorder that refuses the
+    pool, so every join below also takes the serial fallback."""
+
+    @pytest.fixture()
+    def recorded(self, monkeypatch):
+        from repro.core import overlay
+        from repro.runtime import config, dispatch
+
+        tasks = []
+
+        def record(name, workers, token, fn, batch, **kwargs):
+            tasks.extend(batch)
+            return None
+
+        monkeypatch.setattr(overlay, "run_tasks", record)
+        monkeypatch.setattr(config, "MIN_PARALLEL_POINTS", 64)
+        monkeypatch.setattr(dispatch, "OVERLAY_WORK_FACTOR", 1)
+        monkeypatch.setattr(dispatch, "DELTA_WORK_FACTOR", 1)
+        monkeypatch.setattr(dispatch, "CPU_COUNT_OVERRIDE", 2)
+        return tasks
+
+    @staticmethod
+    def _assert_arrays_only(task):
+        import pickle
+
+        payload = pickle.dumps(task)
+        for name in (b"repro.geo.geometry", b"repro.data", b"repro.hazard",
+                     b"Polygon", b"FirePerimeter"):
+            assert name not in payload
+        return payload
+
+    def test_ensemble_member_ships_under_a_megabyte(self, universe,
+                                                    recorded):
+        from repro.geo.rings import RingTable
+        from repro.hazard import GridIgnitedFireHazard
+        from repro.hazard.scenarios import ensemble_impacts
+
+        hazard = GridIgnitedFireHazard(n_events=1500,
+                                       total_acres=40_000_000.0)
+        members = [hazard.ensemble_member(universe, 2019, 0),
+                   hazard.ensemble_member(universe, 2019, 1)[:40], []]
+        pooled = ensemble_impacts(universe, members, 2019, workers=2)
+        assert len(recorded) == 3
+        assert all(isinstance(t, RingTable) for t in recorded)
+        assert len(recorded[0]) == 1500
+        assert len(self._assert_arrays_only(recorded[0])) < 1_000_000
+        assert pooled == ensemble_impacts(universe, members, 2019,
+                                          workers=1)
+        assert pooled[2] == 0
+
+    def test_overlay_and_delta_tasks(self, universe, season, recorded):
+        import dataclasses
+
+        from repro.core.overlay import FireDelta, update_overlay
+
+        fires = season.fires[:30]
+        result = overlay_fires(universe.cells, fires, workers=2,
+                               use_cache=False, keep_hits=True)
+        assert recorded
+        for task in recorded:
+            self._assert_arrays_only(task)
+        recorded.clear()
+        # Two unchanged fronts (answered footprints) and two ignitions.
+        deltas = [FireDelta(f) for f in fires[:2]] + [
+            FireDelta(dataclasses.replace(f, name=f.name + "-new"))
+            for f in season.fires[30:32]]
+        ticked = update_overlay(universe.cells, result, deltas, workers=2)
+        want = overlay_fires(universe.cells,
+                             fires + [d.fire for d in deltas[2:]],
+                             use_cache=False)
+        assert ticked.per_fire_counts == want.per_fire_counts
+        assert np.array_equal(ticked.in_perimeter_mask,
+                              want.in_perimeter_mask)
+        assert recorded
+        for task in recorded:
+            self._assert_arrays_only(task)

@@ -187,17 +187,43 @@ class TestOverlayCacheSemantics:
                        fires_token(fires), 2018)
         assert len({k1, k2, k3}) == 3
 
-    def test_fires_token_memoized_per_fire(self):
-        from repro.core import overlay
+    def test_fires_token_tracks_content(self):
+        """Stable across calls and equal content; changes with any
+        name, year or vertex, and with how rings split between fires."""
+        import dataclasses
+
+        from repro.core.overlay import fire_table, fires_token
+        from repro.geo.geometry import MultiPolygon, Polygon
         from tests.runtime.test_differential import random_fires
 
         fires = random_fires(3, 3)
-        t1 = overlay.fires_token(fires)
-        # every fire's digest is now memoized on the fire object
-        assert all(f in overlay._FIRE_TOKENS for f in fires)
-        t2 = overlay.fires_token(fires)
-        assert t1 == t2
-        assert overlay.fires_token(fires[:-1]) != t1
+        token = fires_token(fires)
+        assert fires_token(fires) == token
+        assert fires_token(list(fires)) == token
+        assert fires_token(fires, fire_table(fires)) == token
+        assert fires_token(random_fires(3, 3)) == token
+
+        def swapped(i, **changes):
+            out = list(fires)
+            out[i] = dataclasses.replace(fires[i], **changes)
+            return out
+
+        ring = fires[1].polygon.exterior.copy()
+        ring[4, 1] += 1e-9
+        variants = [
+            fires[:-1],
+            fires[::-1],
+            swapped(0, name=fires[0].name + "x"),
+            swapped(2, year=fires[2].year + 1),
+            swapped(1, polygon=Polygon.from_ccw_ring(ring)),
+            # Same rings and vertices, split differently between fires.
+            [dataclasses.replace(fires[0], polygon=MultiPolygon(
+                [fires[0].polygon, fires[1].polygon])), fires[2]],
+            swapped(1, polygon=Polygon(fires[1].polygon.exterior,
+                                       holes=[fires[2].polygon.exterior])),
+        ]
+        tokens = {fires_token(v) for v in variants}
+        assert token not in tokens and len(tokens) == len(variants)
 
     def test_universe_and_whp_tokens_memoized(self, universe):
         cells = universe.cells

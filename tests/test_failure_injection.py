@@ -5,6 +5,10 @@ than producing silently-wrong geography.  These tests feed each loader
 and pipeline deliberately broken data.
 """
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from repro.data.universe import SyntheticUS, UniverseConfig
 from repro.geo.geojson import geometry_from_geojson, load_features
 from repro.geo.geometry import BBox, LineString, Polygon
 from repro.geo.raster import GridSpec
+from repro.runtime import STATS, active_pools, run_tasks, shutdown_pools
 
 
 class TestMalformedCsv:
@@ -132,3 +137,67 @@ class TestHostileConfigs:
         fires = small_universe().fire_season(2010).fires[:5]
         result = overlay_fires(empty, fires)
         assert result.n_in_perimeter == 0
+
+
+def _double(x):
+    return 2 * x
+
+
+def _exit_on_one(x):
+    if x == 1:
+        os._exit(3)
+    return x
+
+
+def _bounded(fn, timeout=60.0):
+    """Run ``fn`` in a thread; fail (rather than hang) past ``timeout``."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still running after {timeout}s"
+    return out[0]
+
+
+class TestDeadPoolWorker:
+    """A worker that dies mid-map degrades to the serial path: the map
+    returns ``None`` within the timeout, the pool is discarded and
+    ``parallel.fallbacks`` counts it.  Two workers at most."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_pools(self):
+        shutdown_pools()
+        yield
+        shutdown_pools()
+
+    def _fallbacks(self):
+        return STATS.snapshot()["counters"].get("parallel.fallbacks", 0)
+
+    def _assert_degrades(self, token, fn, tasks):
+        before = self._fallbacks()
+        assert _bounded(lambda: run_tasks("inject", 2, token, fn,
+                                          tasks)) is None
+        assert self._fallbacks() == before + 1
+        assert not [k for k in active_pools() if k[0] == "inject"]
+        # The next call starts a fresh pool and works.
+        assert _bounded(lambda: run_tasks("inject", 2, token, _double,
+                                          [1, 2])) == [2, 4]
+
+    def test_worker_exits_mid_map(self):
+        self._assert_degrades(b"exit", _exit_on_one, [0, 1, 2, 3])
+
+    def test_task_function_unresolvable_in_the_worker(self):
+        token = b"late"
+        assert run_tasks("inject", 2, token, _double, [1]) == [2]
+
+        # Bound on the module after the workers started: the parent
+        # pickles it by name, the workers cannot find that name.
+        def late(x):
+            return x
+        late.__qualname__ = late.__name__ = "_late_bound_task"
+        module = sys.modules[__name__]
+        module._late_bound_task = late
+        try:
+            self._assert_degrades(token, late, [1, 2, 3])
+        finally:
+            del module._late_bound_task
